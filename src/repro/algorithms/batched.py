@@ -8,7 +8,8 @@ This module performs both over whole **instance blocks** — the
 ``(n, n_events)`` arrays streamed by
 :func:`repro.engine.driver.run_plan_blocks` — and folds the results into
 a :class:`~repro.algorithms.counting.MotifCensus` bit-identically to the
-serial pass.
+serial pass; :func:`count_block_codes` and :func:`count_block_pairs`
+are the same fold cut down to ``count_motifs`` / ``count_event_pairs``.
 
 The packing trick: a block's rows collapse to one int64 key each —
 decimal-packed relabel digits (the motif code) times ``7**(k-1)`` plus
@@ -62,33 +63,33 @@ def encode_block_codes(us, vs):
     digit of a canonical code is always 0, so the pack is lossless).
 
     The relabel runs column-by-column over the interleaved endpoint
-    matrix: a column's label is its first-appearance match among the
-    earlier columns, or the row's next fresh label.  Matches the serial
-    encoder's errors: self-loop events and motifs beyond
+    matrix, held transposed so every column is one contiguous array: a
+    column's label is the label of any earlier column holding the same
+    node (they all agree), or the row's next fresh label.  Matches the
+    serial encoder's errors: self-loop events and motifs beyond
     :data:`~repro.core.notation.MAX_NOTATION_NODES` raise ``ValueError``.
     """
     n, k = us.shape
     if bool((us == vs).any()):
         raise ValueError("self-loop event has no motif code")
-    ep = np.empty((n, 2 * k), dtype=np.int64)
-    ep[:, 0::2] = us
-    ep[:, 1::2] = vs
-    labels = np.empty((n, 2 * k), dtype=np.int64)
-    labels[:, 0] = 0
+    ep = np.empty((2 * k, n), dtype=np.int64)
+    ep[0::2] = us.T
+    ep[1::2] = vs.T
+    keys = np.zeros(n, dtype=np.int64)
+    labels = [keys]  # column 0 is always label 0
     ndist = np.ones(n, dtype=np.int64)
-    rows = np.arange(n)
     for j in range(1, 2 * k):
-        eq = ep[:, :j] == ep[:, j : j + 1]
-        seen = eq.any(axis=1)
-        first = eq.argmax(axis=1)
-        labels[:, j] = np.where(seen, labels[rows, first], ndist)
+        label = ndist.copy()
+        seen = np.zeros(n, dtype=bool)
+        for i in range(j):
+            eq = ep[i] == ep[j]
+            np.copyto(label, labels[i], where=eq)
+            seen |= eq
+        labels.append(label)
         ndist += ~seen
+        keys = keys * 10 + label
     if bool((ndist > MAX_NOTATION_NODES).any()):
         raise ValueError("motif has too many nodes for digit notation")
-    keys = labels[:, 0].copy()
-    for j in range(1, 2 * k):
-        keys *= 10
-        keys += labels[:, j]
     return keys
 
 
@@ -107,6 +108,44 @@ def classify_block_pairs(u1, v1, u2, v2):
     c = v1 == u2
     w = u1 == v2
     return np.select([r, p, i, o, c, w], [0, 1, 2, 3, 4, 5], default=6).astype(np.int8)
+
+
+def block_pair_ids(us, vs):
+    """``(n, k - 1)`` packed pair-type ids of each row's consecutive pairs."""
+    return classify_block_pairs(us[:, :-1], vs[:, :-1], us[:, 1:], vs[:, 1:])
+
+
+def tally_first_appearance(counter, keys, decode) -> None:
+    """Add each distinct key's count to ``counter`` in first-appearance order.
+
+    ``decode`` maps a packed key (a Python int) to the counter key; the
+    stable argsort of first indices inserts new keys at the rank a
+    serial ``counter[key] += 1`` loop over ``keys`` would have.
+    """
+    uniq, first_idx, counts = np.unique(keys, return_index=True, return_counts=True)
+    for rank in np.argsort(first_idx, kind="stable").tolist():
+        counter[decode(int(uniq[rank]))] += int(counts[rank])
+
+
+def count_block_codes(counter, blocks, u_col, v_col) -> None:
+    """Fold instance blocks into per-code counts (``count_motifs``)."""
+    for block in blocks:
+        n, k = block.shape
+        if n:
+            keys = encode_block_codes(u_col[block], v_col[block])
+            tally_first_appearance(counter, keys, lambda key: str(key).zfill(2 * k))
+
+
+def count_block_pairs(counter, blocks, u_col, v_col) -> None:
+    """Fold instance blocks into event-pair counts (``count_event_pairs``).
+
+    Rows flatten instance-major, so first appearance follows the serial
+    walk over each instance's consecutive pairs.
+    """
+    for block in blocks:
+        if len(block):
+            ids = block_pair_ids(u_col[block], v_col[block]).ravel()
+            tally_first_appearance(counter, ids, PAIR_BY_ID.__getitem__)
 
 
 def fold_census_blocks(
@@ -144,13 +183,11 @@ def fold_census_blocks(
         us = u_col[block]
         vs = v_col[block]
         code_keys = encode_block_codes(us, vs)
-        pair_keys = classify_block_pairs(
-            us[:, 0], vs[:, 0], us[:, 1], vs[:, 1]
-        ).astype(np.int64)
+        ids = block_pair_ids(us, vs)
+        pair_keys = ids[:, 0].astype(np.int64)
         for j in range(1, k - 1):
-            ids = classify_block_pairs(us[:, j], vs[:, j], us[:, j + 1], vs[:, j + 1])
             pair_keys *= 7
-            pair_keys += ids
+            pair_keys += ids[:, j]
         pair_base = 7 ** (k - 1)
         composite = code_keys * pair_base + pair_keys
         uniq, first_idx, inverse, counts = np.unique(

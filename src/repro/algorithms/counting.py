@@ -64,6 +64,27 @@ def _normalize_roots(roots: Iterable[int] | None) -> tuple[list[int] | None, boo
     return root_list, all(a <= b for a, b in zip(root_list, root_list[1:]))
 
 
+def _block_lane(graph, n_events, constraints, max_nodes, predicate, roots, plan):
+    """Resolve a serial counting call's plan and, if it can, its block lane.
+
+    Returns ``(plan, lane)``: the plan to run (compiled here unless one
+    was given, so a fallback never compiles twice) and either
+    ``(blocks, arrays)`` — the :func:`run_plan_blocks` stream plus the
+    storage's event columns — or ``None`` when the call must take the
+    tuple path (no NumPy, a motif size the packed fold cannot hold, no
+    extension arrays, or a plan the block lane refuses).
+    """
+    if not (batched.available() and 2 <= n_events <= batched.MAX_BATCH_EVENTS):
+        return plan, None
+    if plan is None:
+        plan = compile_plan(n_events, constraints, predicate, graph.storage, max_nodes=max_nodes)
+    arrays = getattr(graph.storage, "extension_arrays", lambda: None)()
+    if arrays is None:
+        return plan, None
+    blocks = run_plan_blocks(plan, graph, roots=roots)
+    return plan, None if blocks is None else (blocks, arrays)
+
+
 def count_motifs(
     graph: TemporalGraph,
     n_events: int,
@@ -117,6 +138,13 @@ def count_motifs(
         )
     wanted = set(node_counts) if node_counts is not None else None
     counts: Counter = Counter()
+    plan, lane = _block_lane(graph, n_events, constraints, max_nodes, predicate, roots, plan)
+    if lane is not None:
+        blocks, arrays = lane
+        batched.count_block_codes(counts, blocks, arrays["u"], arrays["v"])
+        if wanted is not None:
+            counts = Counter({code: n for code, n in counts.items() if len(set(code)) in wanted})
+        return counts
     for inst in enumerate_instances(
         graph,
         n_events,
@@ -166,6 +194,11 @@ def count_event_pairs(
             plan=plan,
         )
     counts: Counter = Counter()
+    plan, lane = _block_lane(graph, n_events, constraints, max_nodes, predicate, roots, plan)
+    if lane is not None:
+        blocks, arrays = lane
+        batched.count_block_pairs(counts, blocks, arrays["u"], arrays["v"])
+        return counts
     for inst in enumerate_instances(
         graph,
         n_events,
@@ -314,32 +347,27 @@ def run_census(
     span_filter = set(timespan_codes) if timespan_codes is not None else None
     pos_filter = set(position_codes) if position_codes is not None else None
 
-    # Array-native lane: when the engine can stream instance *blocks*
-    # (native kernel, banded arrays ready) and the motif size fits the
-    # packed fold, the whole census folds as array ops — bit-identical
-    # to the serial loop below, counter key order included.
-    if batched.available() and 2 <= n_events <= batched.MAX_BATCH_EVENTS:
-        if plan is None:
-            plan = compile_plan(
-                n_events, constraints, predicate, graph.storage, max_nodes=max_nodes
-            )
-        arrays = getattr(graph.storage, "extension_arrays", lambda: None)()
-        if arrays is not None:
-            blocks = run_plan_blocks(plan, graph, roots=roots)
-            if blocks is not None:
-                census.total = batched.fold_census_blocks(
-                    census,
-                    blocks,
-                    arrays["t"],
-                    arrays["u"],
-                    arrays["v"],
-                    collect_timespans=collect_timespans,
-                    collect_positions=collect_positions,
-                    span_filter=span_filter,
-                    pos_filter=pos_filter,
-                    sample_cap=sample_cap,
-                )
-                return census
+    # Block lane: when the engine can stream instance *blocks* (a kernel
+    # with ``expand_block`` — the numpy kernel — and banded arrays
+    # ready) and the motif size fits the packed fold, the whole census
+    # folds as array ops — bit-identical to the serial loop below,
+    # counter key order included.
+    plan, lane = _block_lane(graph, n_events, constraints, max_nodes, predicate, roots, plan)
+    if lane is not None:
+        blocks, arrays = lane
+        census.total = batched.fold_census_blocks(
+            census,
+            blocks,
+            arrays["t"],
+            arrays["u"],
+            arrays["v"],
+            collect_timespans=collect_timespans,
+            collect_positions=collect_positions,
+            span_filter=span_filter,
+            pos_filter=pos_filter,
+            sample_cap=sample_cap,
+        )
+        return census
 
     times = graph.times
     # Resolve each event's (u, v) pair once up front: the fold reads a

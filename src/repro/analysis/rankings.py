@@ -42,7 +42,9 @@ def rank_changes(
     """
     ranks_before = rank_motifs(before, universe=universe)
     ranks_after = rank_motifs(after, universe=universe)
-    codes = set(ranks_before) | set(ranks_after)
+    # Key order: ``ranks_before`` order, then codes only in ``after`` —
+    # deterministic, unlike iterating a set of strings (hash-seeded).
+    codes = {**ranks_before, **ranks_after}
     return {
         code: ranks_before.get(code, len(codes)) - ranks_after.get(code, len(codes))
         for code in codes

@@ -21,7 +21,7 @@ ascending event order — the DFS sequence, without the DFS.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import repro.obs as _obs
 from repro.engine.kernels import Partial
@@ -45,9 +45,16 @@ ROOT_BLOCK = 2048
 FIRST_BLOCK = 64
 
 
-def _root_blocks(root_iter: Iterable[int]) -> Iterator[list[int]]:
+def _root_blocks(root_iter: Iterable[int]) -> Iterator[Sequence[int]]:
     """Chunk roots into the driver's geometric block schedule."""
     block_cap = FIRST_BLOCK
+    if isinstance(root_iter, range):  # the full scan: slice, don't iterate
+        start = 0
+        while start < len(root_iter):
+            yield root_iter[start : start + block_cap]
+            start += block_cap
+            block_cap = min(2 * block_cap, ROOT_BLOCK)
+        return
     block: list[int] = []
     for root in root_iter:
         block.append(root)
@@ -61,7 +68,7 @@ def _root_blocks(root_iter: Iterable[int]) -> Iterator[list[int]]:
 
 
 def _observe_levels(stats, level_partials, level_ext) -> None:
-    """Mirror the per-level frontier histograms for one native block.
+    """Mirror the per-level frontier histograms for one block-lane block.
 
     Matches the Partial-object path's cadence: the root level is always
     observed; a deeper level only if its frontier was non-empty (the
@@ -120,11 +127,12 @@ def run_plan(
         )
         rec.inc(labeled("engine.run_plan.calls", kernel=plan.kernel_name))
 
-    # Native whole-block lane: the kernel grows each root block to
-    # completion inside one JIT call and hands back the completed
-    # instances as an array in the exact DFS yield order — no Partial
-    # objects, no intermediate triples.  Unavailable (tail appends
-    # pending) routes to the Partial path below, unchanged.
+    # Block lane (any kernel with ``expand_block``; the numpy kernel
+    # serves it): the kernel grows each root block to completion with
+    # its frontier held as arrays and hands back the completed instances
+    # as one array in the exact DFS yield order — no Partial objects, no
+    # intermediate triples.  Unavailable (tail appends pending) routes
+    # to the Partial path below, unchanged.
     expand = getattr(kernel, "expand_block", None)
     if expand is not None and kernel.block_ready():
         for block_roots in _root_blocks(root_iter):
@@ -195,8 +203,7 @@ def _expand_block(plan, graph, kernel, frontier, times, m, stats=None) -> Iterat
                         yield inst
             return
         # Next frontier in DFS pop order: parents keep their order, each
-        # parent's children flip to descending (the LIFO reversal) —
-        # fused with admission inside the kernel.
+        # parent's children flip to descending (the LIFO reversal).
         frontier = kernel.next_frontier(frontier, 0, m, times)
         if stats is not None:
             stats[0].observe(stats[2], len(frontier))

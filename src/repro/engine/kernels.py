@@ -37,6 +37,15 @@ Two kernels implement the contract:
   (:meth:`~repro.storage.numpy_backend.NumpyStorage.extension_arrays`),
   falling back to the generic path while tail appends are pending.
 
+Beyond the contract, a kernel may serve the driver's **block lane**:
+``block_ready()`` plus ``expand_block(roots)``, which grows a whole root
+block to completion and returns the completed instances as one
+``(n, n_events)`` array in DFS yield order (see
+:mod:`repro.engine.driver`).  The lane is kernel-agnostic — the driver
+and the batched census fold only probe for the two methods — and the
+numpy kernel serves it with its frontier held as arrays, through the
+same admission sweep as ``extend_frontier``.
+
 Backends advertise their native kernel via the
 :attr:`~repro.storage.base.GraphStorage.extension_kernel` class
 attribute; :func:`kernel_for` resolves it, demoting to generic when the
@@ -256,14 +265,26 @@ class GenericExtensionKernel(ExtensionKernel):
 class NumpyExtensionKernel(ExtensionKernel):
     """Vectorized kernel over :class:`NumpyStorage`'s banded CSR arrays.
 
-    Extends the whole frontier at once: per-(partial, node) half-open
-    window queries become four batched ``searchsorted`` sweeps, the
-    ragged candidate ranges gather through one fancy-index, and
-    dedup/adjacency/node-cap admission run as array ops.  Only the
-    final triple materialization is per-extension Python.
+    One admission sweep (:meth:`_admit`) extends a whole frontier held
+    as arrays — a padded node matrix (CSR slots, one column per
+    partial), node counts, ``t_root`` / ``t_last`` columns:
+    per-(partial, node) half-open window queries
+    become batched ``searchsorted`` probes, the ragged candidate ranges
+    gather through one fancy-index, and dedup/adjacency/node-cap
+    admission run as array ops.  Two entry points feed it:
+
+    * :meth:`expand_block` keeps the frontier in that array form across
+      every level of a root block (the driver's block lane);
+    * :meth:`_vector_candidates` packs arbitrary partial records into
+      the same arrays (the ``extend_frontier`` contract); only the
+      final triple materialization is per-extension Python.
     """
 
     kernel_name = "numpy"
+
+    def __init__(self, plan: "ExecutionPlan", storage: "GraphStorage") -> None:
+        super().__init__(plan, storage)
+        self._block_arrays: dict | None = None
 
     def _extend_partialwise(
         self, partials: Sequence, lo: int, hi: int, need_nodes: bool
@@ -292,129 +313,182 @@ class NumpyExtensionKernel(ExtensionKernel):
             out.append((pos, idx, new_nodes))
         return out
 
-    def next_frontier(
-        self,
-        partials: Sequence[Partial],
-        lo: int,
-        hi: int,
-        times: Sequence[float],
-    ) -> list[Partial]:
-        """Fused vectorized admission + partial construction (one pass)."""
-        vec = self._vector_candidates(partials, lo, hi)
-        if vec is None:
-            return super().next_frontier(partials, lo, hi, times)
-        if not vec:
-            return []
-        cand, cand_part, cu, cv, u_in, v_in = vec
-        nxt: list[Partial] = []
-        group: list[Partial] = []
-        current = -1
-        for pos, idx, ui, vi, uu, vv in zip(
-            cand_part.tolist(),
-            cand.tolist(),
-            u_in.tolist(),
-            v_in.tolist(),
-            cu.tolist(),
-            cv.tolist(),
-        ):
-            if pos != current:
-                if group:
-                    group.reverse()
-                    nxt.extend(group)
-                    group = []
-                current = pos
-                parent = partials[pos]
-                seq = parent.seq
-                nodes = parent.nodes
-                t_root = parent.t_root
-            if ui:
-                new_nodes = nodes if vi else nodes + (vv,)
-            elif vi:
-                new_nodes = nodes + (uu,)
-            else:
-                new_nodes = nodes + (uu, vv)
-            group.append(Partial(seq + (idx,), new_nodes, t_root, times[idx]))
-        if group:
-            group.reverse()
-            nxt.extend(group)
-        return nxt
-
     def _vector_candidates(self, partials: Sequence, lo: int, hi: int):
-        """The vectorized admission sweep shared by both entry points.
+        """Pack partial records into frontier arrays and run :meth:`_admit`.
 
         Returns ``None`` when the storage cannot serve the banded arrays
-        (pending tail appends, pathological node ids) — callers fall back
-        to the generic path — or ``()`` when no extension is admissible.
-        Otherwise ``(cand, cand_part, cu, cv, u_in, v_in)``: the admitted
-        event indices, their partial positions (grouped in input order,
-        events ascending within a partial), the candidate endpoints and
-        their membership masks against the partial's node tuple.
+        (pending tail appends) — callers fall back to the generic path —
+        or ``()`` when no extension is admissible.  Otherwise ``(cand,
+        cand_part, cu, cv, u_in, v_in)``: the admitted event indices,
+        their partial positions (grouped in input order, events
+        ascending within a partial), the candidate endpoints and their
+        membership masks against the partial's node tuple.
         """
         arrays = getattr(self._storage, "extension_arrays", lambda: None)()
         n_p = len(partials)
         if arrays is None or n_p == 0:
             return None if arrays is None else ()
-        t_col = arrays["t"]
         keys = arrays["keys"]
-        m = arrays["m"]
-        if not len(keys):
+        n_nodes = np.fromiter((len(p.nodes) for p in partials), np.int64, n_p)
+        total_q = int(n_nodes.sum())
+        if total_q == 0 or not len(keys):
             return ()
-        plan = self._plan
-        node_cap = plan.node_cap
-
-        # Per-partial deadlines — the plan's chained-deadline arithmetic,
-        # broadcast: min(t_last + ΔC, t_root + ΔW).
-        t_last = np.fromiter((p.t_last for p in partials), np.float64, n_p)
-        t_root = np.fromiter((p.t_root for p in partials), np.float64, n_p)
-        deadline = np.minimum(t_last + plan.delta_c, t_root + plan.delta_w)
-
-        # One window query per (partial, node); empty/past-deadline
-        # windows fall out as empty index ranges.
-        sizes = np.fromiter((len(p.nodes) for p in partials), np.int64, n_p)
-        total_q = int(sizes.sum())
-        if total_q == 0:
-            return []
         flat_nodes = np.fromiter(
             (node for p in partials for node in p.nodes), np.int64, total_q
         )
-        sentinel = np.iinfo(np.int64).min
-        if bool((flat_nodes == sentinel).any()):  # pragma: no cover - pathological id
+        # Node ids -> CSR slots; a node without events gets -1, which
+        # probes nothing and matches no candidate endpoint.
+        pos = np.minimum(keys.searchsorted(flat_nodes), len(keys) - 1)
+        # The pad is as wide as the *largest* partial, not the cap — a
+        # root always carries two nodes even under ``max_nodes=1``.
+        slots = np.full((int(n_nodes.max()), n_p), -1, dtype=np.int64)
+        slots.T[np.arange(len(slots)) < n_nodes[:, None]] = np.where(
+            keys[pos] == flat_nodes, pos, -1
+        )
+        t_root = np.fromiter((p.t_root for p in partials), np.float64, n_p)
+        t_last = np.fromiter((p.t_last for p in partials), np.float64, n_p)
+        hit = self._admit(arrays, slots, n_nodes, t_root, t_last, lo, hi)
+        if hit is None:
+            return ()
+        cand, cand_part, u_in, v_in, _slots = hit
+        return cand, cand_part, arrays["u"][cand], arrays["v"][cand], u_in, v_in
+
+    # ------------------------------------------------------------------
+    # block path (the driver's array-native lane)
+    # ------------------------------------------------------------------
+    def block_ready(self) -> bool:
+        """Whether :meth:`expand_block` can serve this storage right now.
+
+        Caches the extension arrays on the kernel for the run's block
+        calls; ``False`` (tail appends pending) routes the driver to the
+        Partial-object path.
+        """
+        self._block_arrays = getattr(self._storage, "extension_arrays", lambda: None)()
+        return self._block_arrays is not None
+
+    def expand_block(self, roots):
+        """One root block to completion: ``(rows, level_partials, level_ext)``.
+
+        ``rows`` is the ``(n, n_events)`` int64 array of completed
+        instances in the driver's DFS yield order: each non-final level
+        emits children in descending event order per parent (the LIFO
+        reversal, folded into :meth:`_admit`'s sort), the final level
+        in ascending order.  The level arrays feed the frontier
+        histograms.  Requires a prior ``block_ready()``.
+        """
+        arrays = self._block_arrays
+        plan = self._plan
+        n_events = plan.n_events
+        t, su, sv = arrays["t"], arrays["su"], arrays["sv"]
+        if isinstance(roots, range):
+            roots = np.arange(roots.start, roots.stop, roots.step, dtype=np.int64)
+        seqs = np.asarray(roots, dtype=np.int64).reshape(-1, 1)
+        roots = seqs[:, 0]
+        # Non-final partials hold at most n_events - 1 events, hence at
+        # most n_events nodes; a root always holds two, whatever the cap.
+        pad = max(2, min(plan.node_cap, n_events))
+        slots = np.full((pad, len(roots)), -1, dtype=np.int64)
+        slots[0] = su[roots]
+        slots[1] = sv[roots]
+        n_nodes = np.full(len(roots), 2, dtype=np.int64)
+        t_root = t_last = t[roots]
+        level_partials = np.zeros(n_events - 1, dtype=np.int64)
+        level_ext = np.zeros(n_events - 1, dtype=np.int64)
+        for depth in range(1, n_events):
+            level_partials[depth - 1] = len(seqs)
+            final = depth == n_events - 1
+            hit = self._admit(
+                arrays, slots, n_nodes, t_root, t_last, 0, arrays["m"], descending=not final
+            )
+            if hit is None:
+                return np.empty((0, n_events), np.int64), level_partials, level_ext
+            cand, part, u_in, v_in, slots = hit
+            level_ext[depth - 1] = len(cand)
+            grown = np.empty((len(cand), depth + 1), dtype=np.int64)
+            grown[:, :depth] = seqs.take(part, axis=0)
+            grown[:, depth] = cand
+            seqs = grown
+            if final:
+                break
+            # Adjacent candidates introduce at most one node: the
+            # endpoint that is not yet a member.
+            n_nodes = n_nodes.take(part)
+            grow = np.flatnonzero(~(u_in & v_in))
+            fresh = np.where(u_in, sv[cand], su[cand])
+            slots[n_nodes[grow], grow] = fresh[grow]
+            n_nodes[grow] += 1
+            t_root = t_root.take(part)
+            t_last = t[cand]
+        return seqs, level_partials, level_ext
+
+    # ------------------------------------------------------------------
+    # the one admission sweep
+    # ------------------------------------------------------------------
+    def _admit(self, arrays, slots, n_nodes, t_root, t_last, lo, hi, *, descending=False):
+        """Every admissible extension of an array-shaped frontier.
+
+        ``slots`` is the ``(pad, n_p)`` node matrix in CSR-slot space,
+        one column per partial: column ``i`` holds partial ``i``'s
+        ``n_nodes[i]`` nodes first, ``-1`` for a node without events
+        and in the padding.  Returns ``None`` when nothing is
+        admissible, else ``(cand, cand_part, u_in, v_in, cand_slots)``
+        grouped by partial in input order with events ascending within
+        a partial — descending under ``descending=True`` — where
+        ``cand_slots`` is a fresh node matrix with each extension's
+        parent column.
+        """
+        t_col = arrays["t"]
+        m = arrays["m"]
+        n_p = len(n_nodes)
+        if n_p == 0 or m == 0:
             return None
-        q_part = np.repeat(np.arange(n_p, dtype=np.int64), sizes)
+        plan = self._plan
+
+        # Per-partial deadlines — the plan's chained-deadline arithmetic,
+        # broadcast: min(t_last + ΔC, t_root + ΔW).
+        deadline = np.minimum(t_last + plan.delta_c, t_root + plan.delta_w)
+
+        # One window query per (partial, known node); empty/past-deadline
+        # windows fall out as empty index ranges.
+        live = slots >= 0
+        q_slot = slots[live]
+        q_part = np.nonzero(live)[1]
 
         # Half-open (t_last, deadline] -> global index range, then into
         # each node's band of the flat CSR index (strictly increasing per
-        # band, globally sorted after the + slot*m shift).
+        # band, globally sorted after the + slot*m shift).  Probing in
+        # ascending order keeps the bisections cache-local (several times
+        # faster than scattered probes); the candidate sort below makes
+        # the query order irrelevant to the output.
         win_lo = t_col.searchsorted(t_last, side="right")
         win_hi = t_col.searchsorted(deadline, side="right")
-        slots = np.minimum(keys.searchsorted(flat_nodes), len(keys) - 1)
-        known = keys[slots] == flat_nodes
-        base = slots * np.int64(m)
+        base = q_slot * np.int64(m)
+        q_lo = base + win_lo[q_part]
+        order = q_lo.argsort()
+        q_part = q_part[order]
         banded = arrays["banded"]
-        a = banded.searchsorted(base + win_lo[q_part], side="left")
-        b = banded.searchsorted(base + win_hi[q_part], side="left")
+        a = banded.searchsorted(q_lo[order], side="left")
+        b = banded.searchsorted(base[order] + win_hi[q_part], side="left")
         cnt = b - a
         np.maximum(cnt, 0, out=cnt)
-        cnt[~known] = 0
         total_c = int(cnt.sum())
         if total_c == 0:
-            return ()
+            return None
 
         # Ragged gather of every candidate range in one shot.
-        starts = np.cumsum(cnt) - cnt
-        offsets = np.arange(total_c, dtype=np.int64) - np.repeat(starts, cnt)
-        cand = arrays["idx"][np.repeat(a, cnt) + offsets]
+        shift = np.repeat(a - (np.cumsum(cnt) - cnt), cnt)
+        cand = arrays["idx"][shift + np.arange(total_c, dtype=np.int64)]
         cand_part = np.repeat(q_part, cnt)
 
-        # Sort per partial (the contract's grouped-ascending order) and
-        # drop duplicates: an event adjacent to two motif nodes arrives
-        # once per node query.  ``cand_part`` is already non-decreasing
-        # (queries are grouped by partial), so the two-key sort packs
-        # into one int64 sort — much cheaper than a lexsort — unless the
-        # packed key cannot fit, in which case lexsort is the fallback.
+        # Sort per partial and drop duplicates: an event adjacent to two
+        # motif nodes arrives once per node query.  The two-key sort
+        # packs into one int64 sort — much cheaper than a lexsort — with
+        # the event field complemented for descending order, unless the
+        # packed key cannot fit (lexsort fallback).
         bits = int(m).bit_length()
         if bits + int(n_p).bit_length() < 63:
-            packed = (cand_part << bits) | cand
+            low = (np.int64(1) << bits) - 1
+            packed = (cand_part << bits) | (low - cand if descending else cand)
             packed.sort()
             if total_c > 1:
                 keep = np.empty(total_c, dtype=bool)
@@ -422,10 +496,12 @@ class NumpyExtensionKernel(ExtensionKernel):
                 np.not_equal(packed[1:], packed[:-1], out=keep[1:])
                 if not keep.all():
                     packed = packed[keep]
-            cand = packed & ((np.int64(1) << bits) - 1)
+            cand = packed & low
+            if descending:
+                cand = low - cand
             cand_part = packed >> bits
         else:  # pragma: no cover - >2^63 packed keys
-            order = np.lexsort((cand, cand_part))
+            order = np.lexsort((-cand if descending else cand, cand_part))
             cand = cand[order]
             cand_part = cand_part[order]
             if total_c > 1:
@@ -442,36 +518,35 @@ class NumpyExtensionKernel(ExtensionKernel):
                 cand = cand[in_range]
                 cand_part = cand_part[in_range]
         if not len(cand):
-            return ()
+            return None
 
         # Node-cap admission: membership of each candidate's endpoints in
-        # its partial's padded node row.  The pad is as wide as the
-        # *largest* partial, not the cap — a root always carries two
-        # nodes even under a degenerate ``max_nodes=1`` — and, exactly
-        # like the scalar kernels, only extensions that *introduce*
-        # nodes are tested against the cap.
-        cu = arrays["u"][cand]
-        cv = arrays["v"][cand]
-        padded = np.full((n_p, int(sizes.max())), sentinel, dtype=np.int64)
-        cols = np.arange(total_q, dtype=np.int64) - np.repeat(
-            np.cumsum(sizes) - sizes, sizes
-        )
-        padded[q_part, cols] = flat_nodes
-        rows = padded[cand_part]
-        u_in = (rows == cu[:, None]).any(axis=1)
-        v_in = (rows == cv[:, None]).any(axis=1)
-        extra = 2 - u_in.astype(np.int64) - v_in.astype(np.int64)
-        ok = (extra == 0) | (sizes[cand_part] + extra <= node_cap)
-        if not ok.all():
-            cand = cand[ok]
-            cand_part = cand_part[ok]
-            cu = cu[ok]
-            cv = cv[ok]
-            u_in = u_in[ok]
-            v_in = v_in[ok]
-            if not len(cand):
-                return ()
-        return cand, cand_part, cu, cv, u_in, v_in
+        # its partial's node column (``take`` plus one compare per pad
+        # row; 2-D fancy indexing and ``any(axis=...)`` are several times
+        # slower).  Every candidate is adjacent — it came out of one of
+        # the partial's node windows — so it introduces at most one node,
+        # and exactly like the scalar kernels only those extensions are
+        # tested against the cap.
+        cand_slots = slots.take(cand_part, axis=1)
+        cu = arrays["su"][cand]
+        cv = arrays["sv"][cand]
+        u_in = cand_slots[0] == cu
+        v_in = cand_slots[0] == cv
+        for row in cand_slots[1:]:
+            u_in |= row == cu
+            v_in |= row == cv
+        if int(n_nodes.max()) >= plan.node_cap:
+            ok = (u_in & v_in) | (n_nodes[cand_part] < plan.node_cap)
+            if not ok.all():
+                keep = np.flatnonzero(ok)
+                if not len(keep):
+                    return None
+                cand = cand[keep]
+                cand_part = cand_part[keep]
+                u_in = u_in[keep]
+                v_in = v_in[keep]
+                cand_slots = cand_slots.take(keep, axis=1)
+        return cand, cand_part, u_in, v_in, cand_slots
 
 
 #: Registry of kernel capability names (the values backends may put in

@@ -150,6 +150,8 @@ class NumpyStorage(GraphStorage):
         self._node_banded: Any | None = None
         # Lazy sorted node-id array (vectorized node -> slot resolution).
         self._node_keys_sorted: Any | None = None
+        # Lazy per-event endpoint slots (the block lane's node ids).
+        self._endpoint_slots: tuple | None = None
         # Tail delta for appends (mirrors the columnar backend's layout).
         self._tail: list[Event] = []
         self._tail_node_events: dict[int, list[int]] = {}
@@ -235,6 +237,13 @@ class NumpyStorage(GraphStorage):
             out[order] = keys
             self._node_keys_sorted = out
         return self._node_keys_sorted
+
+    def _event_endpoint_slots(self) -> tuple:
+        """``(su, sv)``: the CSR slot of every event's ``u`` / ``v``."""
+        if self._endpoint_slots is None:
+            keys = self._node_keys()
+            self._endpoint_slots = (keys.searchsorted(self._u), keys.searchsorted(self._v))
+        return self._endpoint_slots
 
     def _node_times_flat(self):
         """Timestamps parallel to the node CSR index array (lazy gather)."""
@@ -675,7 +684,8 @@ class NumpyStorage(GraphStorage):
         Returns the timestamp/endpoint columns plus the node CSR in its
         banded form (``idx + slot*m``, globally sorted — the same
         machinery as :meth:`count_node_events_in_batch`), with ``keys``
-        the ascending node ids whose position equals the CSR slot.
+        the ascending node ids whose position equals the CSR slot and
+        ``su`` / ``sv`` every event's endpoint slots.
         Returns ``None`` while tail appends are pending: the tail lists
         are not banded, so the engine's generic per-node path (which
         reads the tail through :meth:`node_events_between`) is the exact
@@ -683,10 +693,13 @@ class NumpyStorage(GraphStorage):
         """
         if self._tail:
             return None
+        su, sv = self._event_endpoint_slots()
         return {
             "t": self._t,
             "u": self._u,
             "v": self._v,
+            "su": su,
+            "sv": sv,
             "keys": self._node_keys(),
             "banded": self._node_banded_index(),
             "idx": self._node_index()[2],

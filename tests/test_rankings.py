@@ -1,5 +1,10 @@
 """Tests for ranking analysis (Tables 3/6)."""
 
+import os
+import subprocess
+import sys
+
+import repro
 from repro.analysis.rankings import rank_changes, rank_motifs, reduction_rate, top_k
 
 
@@ -45,6 +50,35 @@ class TestRankChanges:
         after = {"d": 9, "c": 6, "b": 3, "a": 1}
         changes = rank_changes(before, after, universe=["a", "b", "c", "d"])
         assert sum(changes.values()) == 0
+
+
+    def test_key_order_is_before_order_then_after_only_codes(self):
+        before = {"c": 1, "a": 9, "b": 5}
+        after = {"d": 7, "a": 2}
+        assert list(rank_changes(before, after)) == ["a", "b", "c", "d"]
+
+    def test_key_order_does_not_depend_on_hash_seed(self):
+        # Table 3/6 mappings once came out in set-iteration order, which
+        # string hash randomization reshuffles on every interpreter start.
+        script = (
+            "from repro.analysis.rankings import rank_changes\n"
+            "before = {'010201': 5, '011202': 9, '010212': 3}\n"
+            "after = {'010212': 8, '011202': 1}\n"
+            "print(list(rank_changes(before, after, universe=sorted(before))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        orders = set()
+        for seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            orders.add(out.stdout)
+        assert len(orders) == 1
 
 
 class TestHelpers:

@@ -21,7 +21,7 @@ ascending event order — the DFS sequence, without the DFS.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import repro.obs as _obs
 from repro.engine.kernels import Partial
@@ -45,16 +45,9 @@ ROOT_BLOCK = 2048
 FIRST_BLOCK = 64
 
 
-def _root_blocks(root_iter: Iterable[int]) -> Iterator[Sequence[int]]:
+def _root_blocks(root_iter: Iterable[int]) -> Iterator[list[int]]:
     """Chunk roots into the driver's geometric block schedule."""
     block_cap = FIRST_BLOCK
-    if isinstance(root_iter, range):  # the full scan: slice, don't iterate
-        start = 0
-        while start < len(root_iter):
-            yield root_iter[start : start + block_cap]
-            start += block_cap
-            block_cap = min(2 * block_cap, ROOT_BLOCK)
-        return
     block: list[int] = []
     for root in root_iter:
         block.append(root)

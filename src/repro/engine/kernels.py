@@ -380,8 +380,6 @@ class NumpyExtensionKernel(ExtensionKernel):
         plan = self._plan
         n_events = plan.n_events
         t, su, sv = arrays["t"], arrays["su"], arrays["sv"]
-        if isinstance(roots, range):
-            roots = np.arange(roots.start, roots.stop, roots.step, dtype=np.int64)
         seqs = np.asarray(roots, dtype=np.int64).reshape(-1, 1)
         roots = seqs[:, 0]
         # Non-final partials hold at most n_events - 1 events, hence at

@@ -51,7 +51,6 @@ class TestRankChanges:
         changes = rank_changes(before, after, universe=["a", "b", "c", "d"])
         assert sum(changes.values()) == 0
 
-
     def test_key_order_is_before_order_then_after_only_codes(self):
         before = {"c": 1, "a": 9, "b": 5}
         after = {"d": 7, "a": 2}

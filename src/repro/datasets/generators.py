@@ -26,8 +26,9 @@ that make the ΔC/ΔW trade-off of Section 5.2 visible.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from heapq import heappop, heappush
 
 from repro.core._optional import import_numpy
 
@@ -105,6 +106,9 @@ class ActivityConfig:
             raise ValueError("chain_decay must be in [0, 1]")
         if self.time_resolution <= 0:
             raise ValueError("time_resolution must be positive")
+        if not self.allow_repeated_edges and self.n_events > self.n_nodes * (self.n_nodes - 1):
+            # The simulation would never finish: every event needs a new edge.
+            raise ValueError("n_events exceeds the distinct edges of n_nodes nodes")
 
     def scaled(self, scale: float) -> "ActivityConfig":
         """A copy with node and event counts scaled (≥ minimum sizes).
@@ -122,167 +126,132 @@ class ActivityConfig:
         )
 
 
-@dataclass(order=True)
-class _Scheduled:
-    """Heap entry: a pending event with its reaction chain depth and origin."""
-
-    t: float
-    seq: int
-    u: int = field(compare=False)
-    v: int = field(compare=False)
-    depth: int = field(compare=False)
-    origin: int = field(compare=False)
-
-
 class ActivityModel:
     """The simulator.  Use :func:`generate` for the one-call path."""
 
     def __init__(self, config: ActivityConfig, seed: int | None = None) -> None:
         self.config = config
         self.rng = np.random.default_rng(seed)
-        self._seq = 0
         ranks = np.arange(1, config.n_nodes + 1, dtype=float)
         activity = ranks ** (-config.activity_exponent)
         popularity = ranks ** (-config.popularity_exponent)
         # Shuffle so activity and popularity ranks are not the same nodes.
         self.rng.shuffle(popularity)
-        self._activity_cdf = np.cumsum(activity / activity.sum())
-        self._popularity_cdf = np.cumsum(popularity / popularity.sum())
+        # Plain lists: scalar bisect over them picks the same index as
+        # np.searchsorted, without an array round trip per draw.
+        self._activity_cdf = np.cumsum(activity / activity.sum()).tolist()
+        self._popularity_cdf = np.cumsum(popularity / popularity.sum()).tolist()
 
     # ------------------------------------------------------------------
     # sampling helpers
     # ------------------------------------------------------------------
     def _sample_active_node(self) -> int:
-        return int(np.searchsorted(self._activity_cdf, self.rng.random()))
+        return bisect_left(self._activity_cdf, self.rng.random())
 
     def _sample_popular_node(self, exclude: tuple[int, ...] = ()) -> int:
+        cdf, random = self._popularity_cdf, self.rng.random
         for _ in range(16):
-            node = int(np.searchsorted(self._popularity_cdf, self.rng.random()))
+            node = bisect_left(cdf, random())
             if node not in exclude:
                 return node
         # Dense exclusion fallback: uniform over the complement.
         pool = [n for n in range(self.config.n_nodes) if n not in exclude]
         return int(self.rng.choice(pool))
 
-    def _snap(self, t: float) -> float:
-        res = self.config.time_resolution
-        return max(0.0, (t // res) * res)
-
-    def _delay(self) -> float:
-        return float(self.rng.exponential(self.config.reaction_mean))
-
-    def _echo_delay(self) -> float:
-        """Delay of a reply/repeat: occasionally heavy-tailed."""
-        mean = self.config.reaction_mean
-        if self.rng.random() < self.config.p_delayed_echo:
-            mean *= self.config.long_delay_factor
-        return float(self.rng.exponential(mean))
-
-    def _convey_delay(self) -> float:
-        """Delay of a forward: promptly causal."""
-        return float(
-            self.rng.exponential(self.config.reaction_mean * self.config.convey_delay_factor)
-        )
-
     # ------------------------------------------------------------------
     # simulation
     # ------------------------------------------------------------------
-    def run(self) -> TemporalGraph:
+    def run(self, *, name: str = "") -> TemporalGraph:
         """Simulate until ``n_events`` events are emitted; return the graph."""
+        return TemporalGraph(self._simulate(), name=name)
+
+    def _simulate(self) -> list[Event]:
+        """The emitted events, in emission order.
+
+        Pending reactions are heap tuples ``(t, seq, u, v, depth, origin)``;
+        ``seq`` is unique, so ties on ``t`` pop in scheduling order.
+        """
         cfg = self.config
-        rate = cfg.n_events / cfg.timespan
-        heap: list[_Scheduled] = []
-        next_background = float(self.rng.exponential(1.0 / rate))
+        rng = self.rng
+        random, exponential = rng.random, rng.exponential
+        sample_popular = self._sample_popular_node
+        background_mean = 1.0 / (cfg.n_events / cfg.timespan)
+        res = cfg.time_resolution
+        delay_mean = cfg.reaction_mean
+        # Reply/repeat echoes are occasionally delayed (heavy-tailed);
+        # forwards are promptly causal.
+        long_delay_mean = delay_mean * cfg.long_delay_factor
+        convey_mean = delay_mean * cfg.convey_delay_factor
+        # A cc, forward or in-burst reaction needs a third node.
+        has_third = cfg.n_nodes > 2
+        # Reaction probabilities per chain depth, ``p * chain_decay**depth``.
+        probabilities = [
+            tuple(
+                p * cfg.chain_decay**depth
+                for p in (cfg.p_reply, cfg.p_repeat, cfg.p_cc, cfg.p_forward, cfg.p_in_burst)
+            )
+            for depth in range(cfg.max_chain_depth)
+        ]
+
+        heap: list[tuple[float, int, int, int, int, int]] = []
+        seq = 0
+        next_background = float(exponential(background_mean))
         emitted: list[Event] = []
         used_edges: set[tuple[int, int]] = set()
 
+        def schedule(u: int, v: int, t: float, depth: int, origin: int) -> None:
+            nonlocal seq
+            if u != v:
+                seq += 1
+                heappush(heap, (t, seq, u, v, depth, origin))
+
         while len(emitted) < cfg.n_events:
-            if heap and heap[0].t <= next_background:
-                item = heapq.heappop(heap)
-                self._emit(
-                    item.u,
-                    item.v,
-                    item.t,
-                    item.depth,
-                    item.origin,
-                    heap,
-                    emitted,
-                    used_edges,
-                )
+            if heap and heap[0][0] <= next_background:
+                t, _, u, v, depth, origin = heappop(heap)
             else:
                 t = next_background
-                next_background += float(self.rng.exponential(1.0 / rate))
+                next_background += float(exponential(background_mean))
                 u = self._sample_active_node()
-                v = self._sample_popular_node(exclude=(u,))
-                self._emit(u, v, t, 0, u, heap, emitted, used_edges)
-        return TemporalGraph(emitted[: cfg.n_events])
+                v = sample_popular(exclude=(u,))
+                depth, origin = 0, u
 
-    def _emit(
-        self,
-        u: int,
-        v: int,
-        t: float,
-        depth: int,
-        origin: int,
-        heap: list[_Scheduled],
-        emitted: list[Event],
-        used_edges: set[tuple[int, int]],
-    ) -> None:
-        cfg = self.config
-        t = self._snap(t)
-        edge = (u, v)
-        if not cfg.allow_repeated_edges:
-            if edge in used_edges:
-                return
-            used_edges.add(edge)
-        emitted.append(Event(u, v, t))
-        if depth >= cfg.max_chain_depth:
-            return
-        scale = cfg.chain_decay ** depth
-        rng = self.rng
+            t = max(0.0, (t // res) * res)
+            if not cfg.allow_repeated_edges:
+                if (u, v) in used_edges:
+                    continue
+                used_edges.add((u, v))
+            emitted.append(Event(u, v, t))
+            if depth >= cfg.max_chain_depth:
+                continue
+            p_reply, p_repeat, p_cc, p_forward, p_in_burst = probabilities[depth]
+            depth += 1
 
-        if rng.random() < cfg.p_reply * scale:
-            self._schedule(heap, v, u, t + self._echo_delay(), depth + 1, origin)
-        if rng.random() < cfg.p_repeat * scale:
-            self._schedule(heap, u, v, t + self._echo_delay(), depth + 1, origin)
-        if rng.random() < cfg.p_cc * scale:
-            n_cc = int(rng.integers(1, cfg.cc_max + 1))
-            for _ in range(n_cc):
-                w = self._sample_popular_node(exclude=(u, v))
-                cc_t = t if cfg.cc_same_timestamp else t + self._delay()
-                self._schedule(heap, u, w, cc_t, depth + 1, origin)
-        if rng.random() < cfg.p_forward * scale:
-            # A forward may close the loop back to the chain's origin
-            # (triadic closure / information returning to its source).
-            if origin not in (u, v) and rng.random() < cfg.p_return:
-                w = origin
-            else:
-                w = self._sample_popular_node(exclude=(u, v))
-            self._schedule(heap, v, w, t + self._convey_delay(), depth + 1, origin)
-        if rng.random() < cfg.p_in_burst * scale:
-            n_in = int(rng.integers(1, cfg.in_burst_max + 1))
-            for _ in range(n_in):
-                w = self._sample_popular_node(exclude=(u, v))
-                self._schedule(heap, w, v, t + self._delay(), depth + 1, origin)
-
-    def _schedule(
-        self,
-        heap: list[_Scheduled],
-        u: int,
-        v: int,
-        t: float,
-        depth: int,
-        origin: int,
-    ) -> None:
-        if u == v:
-            return
-        self._seq += 1
-        heapq.heappush(
-            heap, _Scheduled(t=t, seq=self._seq, u=u, v=v, depth=depth, origin=origin)
-        )
+            if random() < p_reply:
+                mean = long_delay_mean if random() < cfg.p_delayed_echo else delay_mean
+                schedule(v, u, t + float(exponential(mean)), depth, origin)
+            if random() < p_repeat:
+                mean = long_delay_mean if random() < cfg.p_delayed_echo else delay_mean
+                schedule(u, v, t + float(exponential(mean)), depth, origin)
+            if random() < p_cc and has_third:
+                for _ in range(int(rng.integers(1, cfg.cc_max + 1))):
+                    w = sample_popular(exclude=(u, v))
+                    cc_t = t if cfg.cc_same_timestamp else t + float(exponential(delay_mean))
+                    schedule(u, w, cc_t, depth, origin)
+            if random() < p_forward and has_third:
+                # A forward may close the loop back to the chain's origin
+                # (triadic closure / information returning to its source).
+                if origin not in (u, v) and random() < cfg.p_return:
+                    w = origin
+                else:
+                    w = sample_popular(exclude=(u, v))
+                schedule(v, w, t + float(exponential(convey_mean)), depth, origin)
+            if random() < p_in_burst and has_third:
+                for _ in range(int(rng.integers(1, cfg.in_burst_max + 1))):
+                    w = sample_popular(exclude=(u, v))
+                    schedule(w, v, t + float(exponential(delay_mean)), depth, origin)
+        return emitted[: cfg.n_events]
 
 
 def generate(config: ActivityConfig, seed: int | None = None, *, name: str = "") -> TemporalGraph:
     """Run the activity model once and return the resulting temporal graph."""
-    graph = ActivityModel(config, seed=seed).run()
-    return TemporalGraph(graph.events, name=name) if name else graph
+    return ActivityModel(config, seed=seed).run(name=name)

@@ -6,14 +6,21 @@ Each entry pairs an :class:`~repro.datasets.generators.ActivityConfig`
 comparisons.  Sizes are scaled roughly 10–100× down from the originals so
 pure-Python enumeration completes; relative inter-event timescales are
 preserved, which is what the ΔC/ΔW experiments depend on.
+
+:func:`get_dataset` simulates each distinct ``(name, scale, seed)`` once
+per process and serves later calls from a bounded memo of its events.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from repro.datasets.generators import ActivityConfig, generate
+import repro.obs as _obs
+from repro.core.events import Event
 from repro.core.temporal_graph import TemporalGraph
+from repro.datasets.generators import ActivityConfig, generate
+from repro.storage import get_backend
 
 DAY = 86_400.0
 WEEK = 7 * DAY
@@ -280,6 +287,11 @@ def get_dataset(
 ) -> TemporalGraph:
     """Generate a named dataset.
 
+    Each distinct ``(name, scale, seed)`` is simulated once per process;
+    later calls rebuild from the memoized events, without re-validating
+    them.  Every call returns a fresh graph on the current default storage
+    backend, so appending to one never changes what the next call returns.
+
     Parameters
     ----------
     scale:
@@ -290,6 +302,25 @@ def get_dataset(
         experiment suite on identical data).
     """
     spec = get_spec(name)
-    config = spec.config if scale == 1.0 else spec.config.scaled(scale)
     actual_seed = spec.default_seed if seed is None else seed
-    return generate(config, seed=actual_seed, name=spec.name)
+    misses = _dataset_events.cache_info().misses
+    events = _dataset_events(name, scale, actual_seed)
+    rec = _obs.ACTIVE
+    if rec is not None:
+        hit = _dataset_events.cache_info().misses == misses
+        rec.inc("datasets.cache_hit" if hit else "datasets.cache_miss")
+    storage = get_backend(None).from_events(events, presorted=True)
+    return TemporalGraph._from_storage(storage, name=spec.name)
+
+
+#: Distinct datasets kept per process: one paper run needs 9, and the
+#: bound caps what a service resolving arbitrary ``(scale, seed)`` holds.
+_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _dataset_events(name: str, scale: float, seed: int) -> tuple[Event, ...]:
+    """The validated, time-sorted events of one dataset, simulated once."""
+    spec = get_spec(name)
+    config = spec.config if scale == 1.0 else spec.config.scaled(scale)
+    return generate(config, seed=seed, name=spec.name).events

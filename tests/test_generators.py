@@ -1,5 +1,7 @@
 """Tests for the activity-model dataset generator."""
 
+import hashlib
+
 import pytest
 
 pytest.importorskip("numpy", reason="the activity generator is numpy-seeded")
@@ -66,6 +68,10 @@ class TestConfigValidation:
         cfg = small_config().scaled(0.0001)
         assert cfg.n_nodes >= 2
         assert cfg.n_events >= 1
+
+    def test_rejects_more_events_than_distinct_edges(self):
+        with pytest.raises(ValueError, match="distinct edges"):
+            ActivityConfig(n_nodes=3, n_events=7, timespan=100, allow_repeated_edges=False)
 
 
 class TestGeneration:
@@ -162,5 +168,25 @@ class TestMechanisms:
 
     def test_model_reusable_rng(self):
         model = ActivityModel(small_config(), seed=11)
-        g = model.run()
-        assert len(g) == 800
+        first, second = model.run(), model.run()
+        assert len(first) == len(second) == 800
+        # A second run continues the model's stream instead of replaying it.
+        assert second.events != first.events
+        assert ActivityModel(small_config(), seed=11).run().events == first.events
+
+    def test_two_node_config_skips_third_node_reactions(self):
+        cfg = ActivityConfig(n_nodes=2, n_events=50, timespan=1000.0, p_forward=0.5)
+        g = generate(cfg, seed=1)
+        assert len(g) == 50
+        assert all(ev.u != ev.v for ev in g.events)
+
+
+class TestGoldenOutput:
+    """The generator's event stream, pinned: any change to it changes every dataset."""
+
+    def test_small_config_digest(self):
+        g = generate(small_config(), seed=11)
+        digest = hashlib.sha256(repr([(e.u, e.v, e.t) for e in g.events]).encode())
+        assert digest.hexdigest() == (
+            "e84d8a2719e58cba7177a6bb48358514ba827424e4248efea8b20a7455b4044a"
+        )

@@ -297,6 +297,17 @@ class TestInstrumentedLayers:
             # vectorized kernel batches through extension_arrays instead
             assert snap["counters"]["storage.adjacent_events_between.calls"] > 0
 
+    def test_dataset_memo_records_hit_and_miss(self):
+        pytest.importorskip("numpy", reason="dataset synthesis is numpy-seeded")
+        from repro.datasets import registry
+
+        reg = obs.enable()
+        registry._dataset_events.cache_clear()
+        registry.get_dataset("email", scale=0.05)
+        registry.get_dataset("email", scale=0.05)
+        assert reg.counters["datasets.cache_miss"] == 1
+        assert reg.counters["datasets.cache_hit"] == 1
+
     def test_online_engine_gauges_and_counters(self):
         from repro.online import OnlineCensus
 

@@ -4,7 +4,7 @@ The multi-view engine's reason to exist is that N concurrent windows
 over one stream should cost far less than N independent engines: the
 expensive per-event work (storage append, prefix-store extension,
 kernel candidate generation) happens once in the shared core, and each
-registered view only pays counter folds for the completions it accepts.
+registered view only pays run-map folds for the completions it accepts.
 
 This benchmark replays one generated stream through
 :class:`~repro.online.MultiViewCensus` at increasing view counts — a
@@ -42,6 +42,7 @@ import pytest
 
 import repro.obs as obs
 from bench_storage import CONSTRAINTS, STREAM_CONFIG
+from check_regression import provenance
 from repro.datasets.generators import generate
 from repro.online import MultiViewCensus, OnlineCensus
 
@@ -213,6 +214,7 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - manual too
     if args.json:
         payload = {
             "benchmark": "bench_multiview",
+            "provenance": provenance(),
             "config": {
                 "n_events": args.events,
                 "window": WINDOW,

@@ -40,6 +40,7 @@ import pytest
 
 import repro.obs as obs
 from bench_storage import CONSTRAINTS, STREAM_CONFIG
+from check_regression import provenance
 from repro.algorithms.counting import run_census
 from repro.core.temporal_graph import TemporalGraph
 from repro.datasets.generators import generate
@@ -173,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - manual too
     if args.json:
         payload = {
             "benchmark": "bench_online",
+            "provenance": provenance(),
             "config": {
                 "n_events": args.events,
                 "window": WINDOW,
@@ -185,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - manual too
             ],
             # Observability sidecar: one untimed instrumented replay on
             # the first backend, so the record carries push-latency
-            # histograms and store/heap gauges next to the timings.
+            # histograms and store/live-instance gauges next to the timings.
             "obs_snapshot": _obs_snapshot(args.events),
         }
         with open(args.json, "w") as fh:

@@ -27,6 +27,11 @@ Typical CI invocation (see ``.github/workflows/ci.yml``)::
         benchmarks/baselines/BENCH_storage.json \
         bench-artifacts/bench_storage.json
 
+Records may carry a ``provenance`` block (host, commit, Python and NumPy
+versions; see :func:`provenance`).  The gate prints the baseline's and
+the fresh record's provenance above the verdict table, so a stale or
+copied baseline shows where it came from; rows are joined as before.
+
 Updating baselines after an intentional perf change::
 
     PYTHONPATH=src python benchmarks/bench_storage.py --events 20000 \
@@ -39,13 +44,63 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
+import subprocess
 
 #: Measurement fields: everything else in a result row identifies the kernel.
 #: ``warmup`` (bench_engine's per-kernel first-call cost: lazy indices +
 #: JIT compilation) is a measurement, not an identity field — the gate
 #: compares steady-state seconds only.
 MEASUREMENTS = ("seconds", "speedup", "warmup")
+
+
+def provenance() -> dict:
+    """Where a BENCH record was measured: host, commit and versions.
+
+    ``commit`` is the checkout's ``HEAD`` (``None`` outside git) and
+    ``dirty`` whether the working tree differed from it, so a record
+    produced from uncommitted changes says so.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def git(*args: str) -> str | None:
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=root, capture_output=True, text=True, check=True
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    try:
+        import numpy
+
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "host": platform.node(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": None if status is None else bool(status),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+    }
+
+
+def describe_provenance(payload: dict) -> str:
+    """One line naming where a record was measured (or that it does not say)."""
+    prov = payload.get("provenance")
+    if not prov:
+        return "no provenance recorded"
+    commit = (prov.get("commit") or "?")[:12] + ("+dirty" if prov.get("dirty") else "")
+    return (
+        f"host {prov.get('host', '?')} ({prov.get('cpus', '?')} cpus), commit {commit}, "
+        f"Python {prov.get('python', '?')}, NumPy {prov.get('numpy') or 'absent'}"
+    )
 
 
 def row_key(row: dict) -> tuple:
@@ -55,8 +110,8 @@ def row_key(row: dict) -> tuple:
 
 def load_results(
     path: str, row_filter: dict[str, str] | None = None
-) -> tuple[str, dict[tuple, float]]:
-    """Read a BENCH json record into ``(benchmark name, key -> seconds)``."""
+) -> tuple[str, dict[tuple, float], str]:
+    """Read a BENCH json record: ``(name, key -> seconds, provenance line)``."""
     with open(path) as fh:
         payload = json.load(fh)
     out: dict[tuple, float] = {}
@@ -68,7 +123,7 @@ def load_results(
         out[row_key(row)] = float(row["seconds"])
     if not out:
         raise SystemExit(f"{path}: no results rows found (filter: {row_filter})")
-    return payload.get("benchmark", "?"), out
+    return payload.get("benchmark", "?"), out, describe_provenance(payload)
 
 
 def label(key: tuple) -> str:
@@ -85,8 +140,8 @@ def check(
     row_filter: dict[str, str] | None = None,
 ) -> int:
     """Compare one record pair; print a verdict table; return an exit code."""
-    base_name, baseline = load_results(baseline_path, row_filter)
-    fresh_name, fresh = load_results(fresh_path, row_filter)
+    base_name, baseline, base_prov = load_results(baseline_path, row_filter)
+    fresh_name, fresh, fresh_prov = load_results(fresh_path, row_filter)
     if base_name != fresh_name:
         print(f"FAIL: comparing {fresh_name!r} against a {base_name!r} baseline")
         return 1
@@ -101,7 +156,9 @@ def check(
     ratios = {k: fresh[k] / max(baseline[k], 1e-12) for k in shared}
     scale = 1.0 if absolute else statistics.median(ratios.values())
     mode = "absolute" if absolute else f"machine-normalized (median ratio {scale:.2f})"
-    print(f"{base_name}: {len(shared)} kernels, threshold {threshold:.2f}x, {mode}\n")
+    print(f"{base_name}: {len(shared)} kernels, threshold {threshold:.2f}x, {mode}")
+    print(f"baseline: {base_prov}")
+    print(f"fresh:    {fresh_prov}\n")
     print(f"{'kernel':<44}{'base':>10}{'fresh':>10}{'ratio':>8}  verdict")
 
     failures = []

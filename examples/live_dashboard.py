@@ -159,7 +159,7 @@ def main() -> None:
                     f"p50={push.quantile(0.5) * 1e6:.0f}us "
                     f"p99={push.quantile(0.99) * 1e6:.0f}us "
                     f"max={push.vmax * 1e6:.0f}us "
-                    f"(heap depth {int(registry.gauges.get('online.expiry_heap.depth', 0))})"
+                    f"({int(registry.gauges.get('online.expiry_heap.depth', 0))} live instances)"
                 )
             shares = sorted(
                 engine.proportions().items(), key=lambda kv: -kv[1]

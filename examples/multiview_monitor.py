@@ -70,9 +70,10 @@ def main() -> None:
         engine.push(event)
 
     # Live operations, mid-stream, no replay needed:
-    late = engine.add_view("late-hour", 3600.0)
+    engine.add_view("late-hour", 3600.0)
+    backfilled = engine.census("late-hour").total
     print(
-        f"\nmid-stream add_view('late-hour'): backfilled {late.total} live "
+        f"\nmid-stream add_view('late-hour'): backfilled {backfilled} live "
         "instances from the shared discovery ledger"
     )
     engine.drop_view("tenant-0")

@@ -16,6 +16,7 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple
 
 
@@ -81,12 +82,25 @@ class DurativeEvent(NamedTuple):
         return Event(self.u, self.v, self.t)
 
 
+def check_timestamp(ev: Event) -> None:
+    """Reject a negative or non-finite (NaN, ±inf) event timestamp.
+
+    A NaN compares false against everything, so it would slip past every
+    ordering check and poison a stream clock; one chained comparison
+    catches it with the negative and infinite cases.
+    """
+    if not 0 <= ev.t < math.inf:
+        kind = "negative" if ev.t < 0 else "non-finite"
+        raise ValueError(f"event {ev} has a {kind} timestamp")
+
+
 def validate_events(events: Iterable[Event], *, allow_loops: bool = False) -> list[Event]:
     """Validate and normalize an iterable of events into a sorted list.
 
     Events are sorted by ``(t, u, v)``.  Raises :class:`ValueError` on
-    negative timestamps or (by default) self-loops, since none of the four
-    motif models in the paper admits self-loops.
+    negative or non-finite (NaN, ±inf) timestamps or (by default)
+    self-loops, since none of the four motif models in the paper admits
+    self-loops.
 
     Parameters
     ----------
@@ -96,10 +110,11 @@ def validate_events(events: Iterable[Event], *, allow_loops: bool = False) -> li
         Permit ``u == v`` events (disabled by default).
     """
     out: list[Event] = []
+    inf = math.inf
     for raw in events:
         ev = raw if isinstance(raw, Event) else Event(*raw)
-        if ev.t < 0:
-            raise ValueError(f"event {ev} has a negative timestamp")
+        if not 0 <= ev.t < inf:
+            check_timestamp(ev)  # raises; inlined test keeps the loop call-free
         if ev.is_loop() and not allow_loops:
             raise ValueError(f"event {ev} is a self-loop; motif models exclude loops")
         out.append(ev)

@@ -168,7 +168,7 @@ def run(
     if _obs.enabled():
         notes.append(
             "Observability was enabled (--stats): sections include rolling "
-            "push-latency quantiles and store/heap gauges at replay "
+            "push-latency quantiles and store/live-instance gauges at replay "
             "quarters; the full per-layer table prints after the run."
         )
     return ExperimentResult(
@@ -293,7 +293,8 @@ def _rolling_line(rec, done: int, total: int) -> str:
     """One cumulative stats line at a replay checkpoint (obs enabled).
 
     Reads the live registry the engine is recording into: the cumulative
-    push-latency quantiles so far plus the current store/heap gauges.
+    push-latency quantiles so far plus the current store and live-instance
+    gauges.
     """
     from repro.obs.render import format_value
 
@@ -306,5 +307,5 @@ def _rolling_line(rec, done: int, total: int) -> str:
         f"  [stats {pct:>3}%] push p50={format_value(hist.quantile(0.5))}s "
         f"p99={format_value(hist.quantile(0.99))}s | "
         f"prefix-store entries={int(gauges.get('online.prefix_store.entries', 0))} "
-        f"expiry-heap depth={int(gauges.get('online.expiry_heap.depth', 0))}"
+        f"live instances={int(gauges.get('online.expiry_heap.depth', 0))}"
     )

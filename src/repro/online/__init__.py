@@ -12,14 +12,16 @@ each event arrives instead of re-running
   ``push(event)`` appends through the storage contract's tail path and
   discovers only the new instances *ending at* the arrival by extending
   a node-bucketed store of live prefixes, so per-event cost tracks local
-  activity, never history; instances whose anchor event slides out of
-  the window retire through a monotone expiry heap.
+  activity, never history; counted instances sit in a ledger sorted by
+  anchor time, so the window is a horizon over it and instances whose
+  anchor slides out of the window retire without any per-event work.
 * :class:`~repro.online.multiview.MultiViewCensus` — the multi-view
   generalization: one shared core (graph tail, prefix store, compiled
   kernel, discovery ledger) fans each ``push`` into many registered
   views — heterogeneous window lengths, node-set slices, restriction
-  predicates — each owning only counters and an anchor-keyed expiry
-  heap, with ``add_view``/``drop_view`` live on a running stream and
+  predicates — each reading its window as a horizon over the shared
+  (or, for sliced/restricted/cold-start views, a private) anchor-sorted
+  ledger, with ``add_view``/``drop_view`` live on a running stream and
   per-view degradation to the sampling estimators under load.
   :class:`OnlineCensus` is its single-view facade.
 * :mod:`~repro.online.checkpoint` — page-directory checkpoints
@@ -33,7 +35,9 @@ The engine's core invariant — counts at time *t* equal a batch census of
 ``slice_time(t - W, t)`` — is enforced push-by-push by the differential
 property suite in ``tests/test_online.py`` on every storage backend, and
 its multi-view extension — every view bit-identical to an independent
-single-window engine after every push — by ``tests/test_multiview.py``.
+single-window engine after every push — by ``tests/test_multiview.py``;
+``tests/test_view_oracle.py`` pins every view's full census, key order
+included, against an eager-expiry reference and golden digests.
 """
 
 from repro.online.census import OnlineCensus

@@ -20,12 +20,13 @@ produce over the trailing window ``[now - W, now]``:
 * **Expiry.**  A batch census of ``slice_time(t - W, t)`` keeps exactly
   the instances whose *anchor* (first event) has ``t_anchor >= t - W``
   — the anchor is the instance's earliest timestamp, so anchor-in-window
-  means instance-in-window.  Counted instances sit in a min-heap keyed by
-  anchor timestamp (the monotone expiry queue); each arrival pops the
-  expired prefix of the heap and decrements the counters.  The horizon
-  ``now - W`` is computed with the same arithmetic as the slice
-  bisection, so the online counts match the batch slice bit-for-bit even
-  at floating-point window edges.
+  means instance-in-window.  Counted instances sit in a ledger sorted by
+  anchor timestamp, so the window is a *horizon* over it: the live
+  instances are the ledger suffix from ``bisect(now - W)``, and nothing
+  is popped or decremented as the clock moves.  The horizon ``now - W``
+  is computed with the same arithmetic as the slice bisection, so the
+  online counts match the batch slice bit-for-bit even at floating-point
+  window edges.
 * **Pruning.**  Events older than ``now - min(W, δ)`` (δ = the
   constraints' loose timespan bound) can neither join a future instance
   nor re-enter the window, so :meth:`prune` (or the ``prune_every``
@@ -79,6 +80,9 @@ _ULP_SLACK = 32.0
 #: retained tail always covers everything a live prefix references, even
 #: across float binade edges.
 _PRUNE_SLACK = 1024.0
+
+#: The facade's one view in its :class:`MultiViewCensus`.
+_SOLO_VIEW = "__solo__"
 
 
 def _widen_down(bound: float) -> float:
@@ -279,7 +283,7 @@ class OnlineCensus:
             prune_every=prune_every,
         )
         self._view = self._mv.add_view(
-            "__solo__", self._window, predicate=predicate, backfill=False
+            _SOLO_VIEW, self._window, predicate=predicate, backfill=False
         )
         # The facade's push returns the solo view's accepted instances,
         # so the view collects them per arrival.
@@ -296,7 +300,7 @@ class OnlineCensus:
     @property
     def graph(self) -> TemporalGraph:
         """The internal live graph (the *retained tail* after pruning)."""
-        return self._mv._graph
+        return self._mv.graph
 
     @property
     def n_events(self) -> int:
@@ -313,12 +317,12 @@ class OnlineCensus:
     @property
     def now(self) -> float | None:
         """The stream clock: the latest pushed (or advanced-to) time."""
-        return self._mv._now
+        return self._mv.now
 
     @property
     def pushed(self) -> int:
         """Total events pushed over the engine's lifetime."""
-        return self._mv._pushed
+        return self._mv.pushed
 
     @property
     def discovered(self) -> int:
@@ -328,17 +332,17 @@ class OnlineCensus:
     @property
     def expired(self) -> int:
         """Instances retired because their anchor slid out of the window."""
-        return self._view.expired
+        return self._mv._expired(self._view)
 
     @property
     def live_instances(self) -> int:
         """Instances currently inside the window (== ``census().total``)."""
-        return self._view.total
+        return self._mv._live(self._view)
 
     @property
     def live_prefixes(self) -> int:
         """Prefixes the store currently retains (a memory gauge)."""
-        return len(self._mv._prefixes)
+        return self._mv.live_prefixes
 
     # ------------------------------------------------------------------
     # the stream interface
@@ -365,7 +369,8 @@ class OnlineCensus:
         if out:
             rec.inc("online.push.instances", len(out))
         rec.set_gauge("online.prefix_store.entries", mv._prefixes.entries)
-        rec.set_gauge("online.expiry_heap.depth", len(view.heap))
+        # The historical gauge name: the solo view's live instance count.
+        rec.set_gauge("online.expiry_heap.depth", mv._live(view))
         return out
 
     def drain(self, events: Iterable[Event | tuple]) -> Iterator[tuple[int, list[Instance]]]:
@@ -385,16 +390,16 @@ class OnlineCensus:
         Returns the number of instances retired.  Subsequent pushes must
         not predate ``now`` (the window never moves backward).
         """
-        before = self._view.expired
+        before = self.expired
         self._mv.advance_to(now)
-        return self._view.expired - before
+        return self.expired - before
 
     # ------------------------------------------------------------------
     # counters
     # ------------------------------------------------------------------
     def counts(self) -> Counter:
         """Per-code instance counts for the current window (a copy)."""
-        return Counter(self._view.code_counts)
+        return self._mv.counts(_SOLO_VIEW)
 
     def census(self) -> MotifCensus:
         """The window's counters as a :class:`MotifCensus` snapshot.
@@ -405,15 +410,7 @@ class OnlineCensus:
         positions) are batch-only — their caps depend on enumeration
         order — and stay empty here.
         """
-        view = self._view
-        return MotifCensus(
-            n_events=self._n_events,
-            constraints=self._constraints,
-            code_counts=Counter(view.code_counts),
-            pair_counts=Counter(view.pair_counts),
-            pair_sequence_counts=Counter(view.pair_seq_counts),
-            total=view.total,
-        )
+        return self._mv.census(_SOLO_VIEW)
 
     def proportions(self) -> dict[str, float]:
         """Each code's share of the current window's instance count."""
@@ -473,113 +470,9 @@ class OnlineCensus:
             path, backend=backend, predicate=predicate, prune_every=prune_every
         )
 
-    # ------------------------------------------------------------------
-    # internals delegated to the shared core (checkpoint + observability
-    # helpers reach these; keep their shapes stable)
-    # ------------------------------------------------------------------
-    @property
-    def _graph(self) -> TemporalGraph:
-        return self._mv._graph
-
-    @_graph.setter
-    def _graph(self, graph: TemporalGraph) -> None:
-        self._mv._graph = graph
-
-    @property
-    def _prefixes(self) -> _PrefixStore:
-        return self._mv._prefixes
-
-    @property
-    def _heap(self) -> list:
-        return self._view.heap
-
-    @_heap.setter
-    def _heap(self, heap: list) -> None:
-        view = self._view
-        view.heap = heap
-        view.wake_t = None
-        if heap:
-            self._mv._schedule_wake(view)
-
-    @property
-    def _offset(self) -> int:
-        return self._mv._offset
-
-    @_offset.setter
-    def _offset(self, value: int) -> None:
-        self._mv._offset = value
-
-    @property
-    def _now(self) -> float | None:
-        return self._mv._now
-
-    @_now.setter
-    def _now(self, value: float | None) -> None:
-        self._mv._now = value
-        self._mv._last_event_t = value
-
-    @property
-    def _pushed(self) -> int:
-        return self._mv._pushed
-
-    @_pushed.setter
-    def _pushed(self, value: int) -> None:
-        self._mv._pushed = value
-
-    @property
-    def _discovered(self) -> int:
-        return self._view.discovered
-
-    @_discovered.setter
-    def _discovered(self, value: int) -> None:
-        self._view.discovered = value
-        self._mv._discovered = value
-
-    @property
-    def _expired(self) -> int:
-        return self._view.expired
-
-    @_expired.setter
-    def _expired(self, value: int) -> None:
-        self._view.expired = value
-
-    @property
-    def _total(self) -> int:
-        return self._view.total
-
-    @_total.setter
-    def _total(self, value: int) -> None:
-        self._view.total = value
-
-    @property
-    def _seq(self) -> int:
-        return self._mv._seq
-
-    @_seq.setter
-    def _seq(self, value: int) -> None:
-        self._mv._seq = value
-
-    @property
-    def _code_counts(self) -> Counter:
-        return self._view.code_counts
-
-    @property
-    def _pair_counts(self) -> Counter:
-        return self._view.pair_counts
-
-    @property
-    def _pair_seq_counts(self) -> Counter:
-        return self._view.pair_seq_counts
-
-    def _bind_kernel(self) -> None:
-        self._mv._bind_kernel()
-
-    def _rebuild_prefixes(self) -> None:
-        self._mv._rebuild_prefixes()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<OnlineCensus {self._n_events}-event "
             f"{self._constraints.describe()} W={self._window:g}: "
-            f"{self._view.total} live instances, {self._mv._pushed} events pushed>"
+            f"{self.live_instances} live instances, {self._mv.pushed} events pushed>"
         )

@@ -11,9 +11,10 @@ A checkpoint is a directory with two parts:
 
 The counters are *not* stored: they are a pure fold over the ledger, so
 :func:`load_checkpoint` rebuilds them and cross-checks the recorded
-total, which makes a truncated or hand-edited state file fail loudly
-instead of drifting.  Restoring converts the graph to the requested (or
-session-default) storage backend, so a checkpoint written by a
+total (and ``discovered - expired`` against it), which makes a
+truncated or hand-edited state file fail loudly instead of drifting.
+Restoring converts the graph to the requested (or session-default)
+storage backend, so a checkpoint written by a
 ``"numpy"`` session resumes cleanly under ``"list"`` or ``"columnar"``.
 
 Predicates are code, not data — the manifest only records that one was
@@ -23,7 +24,6 @@ re-supplies it (pass ``predicate=...``).
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 
@@ -31,7 +31,6 @@ from repro.core.constraints import TimingConstraints
 from repro.core.eventpairs import PairType
 from repro.core.temporal_graph import TemporalGraph
 from repro.online.census import OnlineCensus, Predicate
-from repro.online.multiview import _LedgerEntry
 
 #: ``state.json`` manifest identifier / version of the checkpoint layout.
 CHECKPOINT_FORMAT = "repro-online-census"
@@ -52,31 +51,27 @@ def save_checkpoint(census: OnlineCensus, path: str | os.PathLike) -> None:
     census.prune()
     path = os.fspath(path)
     os.makedirs(path, exist_ok=True)
-    census._graph.save(os.path.join(path, GRAPH_DIR))
-    ledger = [
-        [
-            anchor_t,
-            entry.code,
-            [None if p is None else p.value for p in entry.pair_seq],
-        ]
-        for anchor_t, _seq, entry in sorted(census._heap)
-    ]
+    census.graph.save(os.path.join(path, GRAPH_DIR))
+    live = census._mv.checkpoint_state()
     state = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "n_events": census._n_events,
-        "delta_c": census._constraints.delta_c,
-        "delta_w": census._constraints.delta_w,
-        "window": census._window,
+        "n_events": census.n_events,
+        "delta_c": census.constraints.delta_c,
+        "delta_w": census.constraints.delta_w,
+        "window": census.window,
         "max_nodes": census._max_nodes,
         "has_predicate": census._predicate is not None,
-        "now": census._now,
-        "offset": census._offset,
-        "pushed": census._pushed,
-        "discovered": census._discovered,
-        "expired": census._expired,
-        "total": census._total,
-        "ledger": ledger,
+        "now": live["now"],
+        "offset": live["offset"],
+        "pushed": live["pushed"],
+        "discovered": live["discovered"],
+        "expired": live["expired"],
+        "total": live["total"],
+        "ledger": [
+            [anchor_t, code, [None if p is None else p.value for p in pair_seq]]
+            for anchor_t, code, pair_seq in live["ledger"]
+        ],
     }
     with open(os.path.join(path, STATE_FILE), "w") as fh:
         json.dump(state, fh, indent=2)
@@ -134,45 +129,38 @@ def load_checkpoint(
         backend=backend,
         prune_every=prune_every,
     )
+    ledger = [
+        (anchor_t, code, tuple(None if p is None else PairType(p) for p in pair_values))
+        for anchor_t, code, pair_values in state["ledger"]
+    ]
+    if len(ledger) != state["total"]:
+        raise ValueError(
+            f"{path!r}: ledger holds {len(ledger)} live instances but the "
+            f"manifest records {state['total']} (corrupt checkpoint?)"
+        )
+    if state["discovered"] - state["expired"] != state["total"]:
+        raise ValueError(
+            f"{path!r}: {state['discovered']} discovered minus "
+            f"{state['expired']} expired is not the {state['total']} live "
+            "instances the manifest records (corrupt checkpoint?)"
+        )
     # The page tail was validated when it was first streamed in; reopening
     # re-indexes it under the target backend without re-validation — and
     # when the target is the page format's own backend, the loaded
     # storage is used as-is (no event-tuple round-trip).
     loaded = TemporalGraph.load(os.path.join(path, GRAPH_DIR), mmap=False)
-    storage_cls = type(census._graph.storage)
-    if isinstance(loaded.storage, storage_cls):
-        census._graph = loaded
-    else:
-        census._graph = TemporalGraph._from_storage(
+    storage_cls = type(census.graph.storage)
+    if not isinstance(loaded.storage, storage_cls):
+        loaded = TemporalGraph._from_storage(
             storage_cls.from_events(loaded.to_events(), presorted=True),
             name=loaded.name,
         )
-    census._bind_kernel()
-    census._offset = state["offset"]
-    census._now = state["now"]
-    census._pushed = state["pushed"]
-    census._discovered = state["discovered"]
-    census._expired = state["expired"]
-    heap: list[tuple[float, int, _LedgerEntry]] = []
-    for seq_no, (anchor_t, code, pair_values) in enumerate(state["ledger"]):
-        pair_seq = tuple(None if p is None else PairType(p) for p in pair_values)
-        # The node tuple and event indices are fan-out-time data (sliced-
-        # view routing, predicate re-evaluation); a restored solo engine
-        # never re-folds these entries, so they stay empty.
-        entry = _LedgerEntry(anchor_t, seq_no, code, pair_seq, (), anchor_t, ())
-        heap.append((anchor_t, seq_no, entry))
-        census._code_counts[code] += 1
-        for ptype in pair_seq:
-            census._pair_counts[ptype] += 1
-        census._pair_seq_counts[pair_seq] += 1
-    heapq.heapify(heap)
-    census._heap = heap
-    census._seq = len(heap)
-    census._total = len(heap)
-    if census._total != state["total"]:
-        raise ValueError(
-            f"{path!r}: ledger holds {census._total} live instances but the "
-            f"manifest records {state['total']} (corrupt checkpoint?)"
-        )
-    census._rebuild_prefixes()
+    census._mv.resume(
+        loaded,
+        now=state["now"],
+        offset=state["offset"],
+        pushed=state["pushed"],
+        discovered=state["discovered"],
+        ledger=ledger,
+    )
     return census

@@ -9,36 +9,44 @@ shared by every view:
   rebase, exactly as in the single-view engine),
 * the node-bucketed **prefix store** of live partial instances,
 * the compiled **plan/kernel** pair from :mod:`repro.engine`, and
-* the **ledger** — a retention-bounded min-heap of every discovered
-  instance (anchor time, canonical code, pair sequence, node set) that
-  lets a view registered mid-stream backfill its counters instead of
-  starting cold.
+* the **ledger** — every discovered instance (anchor time, canonical
+  code, pair sequence, node set) inside the retention horizon, kept
+  sorted by ``(anchor_t, discovery seq)``.
 
-Per-view state is deliberately thin: three counters, an anchor-time
-expiry heap of *references* into the shared ledger entries, and a
-scheduled wake time.  One ``push(event)`` therefore runs discovery once
+A view is a *horizon* over a ledger: its live instances are exactly the
+entries it accepted whose anchor satisfies ``anchor_t >= now - W``,
+which is one bisect away.  Nothing is expired eagerly, so a moving
+clock costs no per-view work.  One ``push(event)`` runs discovery once
 and fans each completed instance out to the views that accept it:
 
-* **plain window views** differ only in their window length ``W``; they
-  are kept sorted by ``W`` descending so the fan-out loop stops at the
-  first view whose window no longer reaches the instance's anchor;
+* **plain window views** (no node slice, no predicate, registered from
+  the start or backfilled) read the shared ledger directly: an accepted
+  instance satisfies ``anchor_t >= t_discovery - W`` and
+  ``t_discovery <= now``, so the shared ledger's ``now - W`` suffix is
+  precisely what the view accepted.  They are kept sorted by ``W``
+  descending so the fan-out loop stops at the first view whose window
+  no longer reaches the instance's anchor;
 * **node-sliced views** (``nodes=``) count only instances whose node
   set lies inside the view's node set; a node -> views index routes
-  each instance to the few views watching its nodes, so ten tenants or
-  a thousand cost the same when their node sets are disjoint;
+  each instance to the few views watching its nodes;
 * **restricted views** (``predicate=``) apply their restriction at
   discovery time against the shared graph, with the same
   offset-translation and stability caveats as the single-view engine.
 
-Expiry is *scheduled*, not polled: each view with live instances owns
-one entry in a global wake heap keyed by the earliest time its oldest
-anchor can leave its window, so a push touches only the views that
-actually have something to retire — idle views cost nothing per event.
-Wake times are widened down by the library's standard ulp slack and the
-exact ``anchor < now - W`` comparison is re-run on fire, so the
-floating-point shortcut can fire early (a no-op re-check) but never
-late; the per-view insert/expire sequence — and therefore the counter
-*key order* — stays bit-identical to an independent ``OnlineCensus``.
+Sliced, restricted and cold-start (``backfill=False`` on a running
+stream) views hold a private ledger of the entries they accepted — the
+same sorted representation, read the same way.
+
+**Key order.**  The counters a view reports are ordered the way an
+eagerly expiring ``Counter`` would order them: a key sits where it was
+last re-inserted after its count fell to zero.  At fold time a view
+updates one *run* map per counter family (code, pair type, pair
+sequence), ``{key: max_anchor}`` in dict order; a key whose latest
+anchor already lies outside the window (``max_anchor < t - W``) is dead
+— an eager counter would have deleted it — so it is moved to the end.
+Reads count the live suffix and order its keys by the run maps, which
+keeps every counter bit-identical, key order included, to an engine
+that expires each instance the moment its anchor leaves the window.
 
 ``retention`` bounds everything: it is the largest window any view may
 use, the prefix store's gap bound and the ledger's horizon.  Pass
@@ -51,18 +59,19 @@ view leaves the exact fan-out path entirely and answers
 window slice, with per-code Horvitz–Thompson ``stderr`` bars — the same
 shape the census service's overflow policy produces for queries.
 
-:class:`~repro.online.census.OnlineCensus` is now a facade over a
+:class:`~repro.online.census.OnlineCensus` is a facade over a
 single-view ``MultiViewCensus`` with ``retention == window``, so there
 is exactly one implementation of the push/expire/prune arithmetic.
 """
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 import time
 import warnings
 from collections import Counter
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 import repro.obs as _obs
@@ -79,18 +88,26 @@ Predicate = Callable[[TemporalGraph, Instance], bool]
 
 __all__ = ["MultiViewCensus"]
 
+#: A ledger compacts once this many retired entries lead it *and* they
+#: are at least half of it, so retiring stays amortized O(1).
+_COMPACT_MIN = 1024
+
+_code_of = attrgetter("code")
+_pair_seq_of = attrgetter("pair_seq")
+
 
 class _LedgerEntry:
-    """One discovered instance, shared between the ledger and view heaps.
+    """One discovered instance, shared by every ledger that holds it.
 
     Self-contained (anchor/last timestamps, canonical code, pair
     sequence, node tuple, global event indices) so views never resolve
-    anything against the graph.  Heaps hold ``(anchor_t, seq, entry)``
-    triples — the unique ``seq`` tiebreak keeps ordering at C tuple
-    speed and the entry itself out of every comparison.
+    anything against the graph.  ``keys`` lists every counter key the
+    instance bumps — its code, each pair type, its pair sequence — in
+    fold order; the three families never collide in one dict (codes
+    have at least two characters, pair types one, sequences are tuples).
     """
 
-    __slots__ = ("anchor_t", "seq", "code", "pair_seq", "nodes", "t_last", "events")
+    __slots__ = ("anchor_t", "seq", "code", "pair_seq", "nodes", "t_last", "events", "keys")
 
     def __init__(self, anchor_t, seq, code, pair_seq, nodes, t_last, events) -> None:
         self.anchor_t = anchor_t
@@ -100,14 +117,80 @@ class _LedgerEntry:
         self.nodes = nodes
         self.t_last = t_last
         self.events = events
+        self.keys = (code, *pair_seq, pair_seq)
 
 
-#: The heap element shape shared by the ledger and every view's heap.
-_HeapItem = tuple[float, int, _LedgerEntry]
+class _Ledger:
+    """Entries sorted by ``(anchor_t, seq)``; retired from the front.
+
+    ``anchors`` parallels ``entries`` so a horizon is one float bisect.
+    Retiring advances the start index ``lo``; the retired head is cut
+    off in bulk once it dominates the list.  Inserts land at the tail
+    (anchors trail discovery by at most δ), after any equal anchor, so
+    ties keep discovery order.
+    """
+
+    __slots__ = ("anchors", "entries", "lo")
+
+    def __init__(self) -> None:
+        self.anchors: list[float] = []
+        self.entries: list[_LedgerEntry] = []
+        self.lo = 0
+
+    def __len__(self) -> int:
+        return len(self.anchors) - self.lo
+
+    def insert(self, entry: _LedgerEntry) -> None:
+        anchors = self.anchors
+        anchor = entry.anchor_t
+        if not anchors or anchor >= anchors[-1]:
+            anchors.append(anchor)
+            self.entries.append(entry)
+        else:
+            i = bisect.bisect_right(anchors, anchor, self.lo)
+            anchors.insert(i, anchor)
+            self.entries.insert(i, entry)
+
+    def start(self, horizon: float) -> int:
+        """Index of the first entry anchored at or after ``horizon``."""
+        return bisect.bisect_left(self.anchors, horizon, self.lo)
+
+    def live(self, horizon: float) -> int:
+        """How many entries are anchored at or after ``horizon``."""
+        return len(self.anchors) - self.start(horizon)
+
+    def since(self, horizon: float) -> list[_LedgerEntry]:
+        """The entries anchored at or after ``horizon``, in ledger order."""
+        return self.entries[self.start(horizon):]
+
+    def retire(self, horizon: float) -> int:
+        """Drop every entry anchored below ``horizon``; return how many."""
+        i = self.start(horizon)
+        retired = i - self.lo
+        if retired:
+            self.lo = i
+            if i >= _COMPACT_MIN and 2 * i >= len(self.anchors):
+                del self.anchors[:i]
+                del self.entries[:i]
+                self.lo = 0
+        return retired
+
+
+def _ordered(runs: dict, counts: Counter) -> Counter:
+    """``counts`` re-keyed in run order (the eager counter's key order)."""
+    return Counter({key: counts[key] for key in runs if key in counts})
 
 
 class _ViewState:
-    """Counters + expiry heap: everything one registered view owns."""
+    """Everything one registered view owns: a ledger and a run map.
+
+    ``ledger`` is the engine's shared ledger for plain views and a
+    private one otherwise.  ``runs`` maps every counter key the view has
+    counted (codes, pair types and pair sequences together) to the
+    largest anchor of its current run, in the order an eager counter
+    would hold the key (see the module docstring).  ``expired`` is only stored once a
+    view degrades; exact views derive it as ``discovered - live``.
+    """
 
     __slots__ = (
         "name",
@@ -118,20 +201,16 @@ class _ViewState:
         "mode",
         "q",
         "seed",
-        "code_counts",
-        "pair_counts",
-        "pair_seq_counts",
-        "total",
+        "ledger",
+        "runs",
         "discovered",
         "expired",
-        "heap",
-        "wake_t",
         "dropped",
         "collect",
         "just_counted",
     )
 
-    def __init__(self, name, window, predicate, nodes, vseq) -> None:
+    def __init__(self, name, window, predicate, nodes, vseq, ledger) -> None:
         self.name = name
         self.window = window
         self.predicate = predicate
@@ -140,14 +219,10 @@ class _ViewState:
         self.mode = "exact"
         self.q: float | None = None
         self.seed: int | None = None
-        self.code_counts: Counter = Counter()
-        self.pair_counts: Counter = Counter()
-        self.pair_seq_counts: Counter = Counter()
-        self.total = 0
+        self.ledger: _Ledger | None = ledger
+        self.runs: dict = {}
         self.discovered = 0
         self.expired = 0
-        self.heap: list[_HeapItem] = []
-        self.wake_t: float | None = None
         self.dropped = False
         self.collect = False
         self.just_counted: list[Instance] = []
@@ -237,8 +312,7 @@ class MultiViewCensus:
         self._discovered = 0
         self._since_prune = 0
         self._seq = 0
-        self._ledger: list[_HeapItem] = []
-        self._retired = 0
+        self._ledger = _Ledger()
         self._unwarned_sensitive: list[_ViewState] = []
         # View registries: every view by name, the plain (unsliced)
         # exact views sorted by window descending for the early-exit
@@ -248,10 +322,6 @@ class MultiViewCensus:
         self._node_index: dict[int, list[_ViewState]] = {}
         self._collecting: list[_ViewState] = []
         self._vseq = 0
-        # The global wake heap: (wake_t, view.vseq, view) — one live
-        # entry per view with instances, plus harmless stale entries
-        # invalidated by the view's own wake_t.
-        self._wake: list[tuple[float, int, _ViewState]] = []
         self._obs = registry if registry is not None else _obs.ACTIVE
 
     # ------------------------------------------------------------------
@@ -341,8 +411,8 @@ class MultiViewCensus:
             ``False`` starts the view empty, counting only instances
             discovered after registration.
 
-        Returns the view's state record (counters are live references —
-        read them through :meth:`counts` / :meth:`view_counts`).
+        Returns the view's state record; read its counts through
+        :meth:`counts` / :meth:`census` / :meth:`view_counts`.
         """
         if not isinstance(name, str) or not name:
             raise ValueError("view name must be a non-empty string")
@@ -362,7 +432,11 @@ class MultiViewCensus:
                 "backfill=False to start a restricted view cold"
             )
         node_set = None if nodes is None else frozenset(nodes)
-        view = _ViewState(name, float(window), predicate, node_set, self._vseq)
+        # A plain view reads the shared ledger; any view that may have
+        # skipped a ledger entry inside its window keeps its own.
+        shared = node_set is None and predicate is None and (backfill or not self._ledger)
+        ledger = self._ledger if shared else _Ledger()
+        view = _ViewState(name, float(window), predicate, node_set, self._vseq, ledger)
         self._vseq += 1
         self._views[name] = view
         if node_set is None:
@@ -404,8 +478,9 @@ class MultiViewCensus:
     def degrade_view(self, name: str, *, q: float = 0.25, seed: int | None = None) -> None:
         """Switch a view to sampling-estimate mode (overload degradation).
 
-        The view leaves the exact fan-out path entirely — its counters
-        and expiry heap are released — and :meth:`view_counts` answers
+        The view leaves the exact fan-out path entirely — its run maps
+        and private ledger are released, and its ``discovered`` /
+        ``expired`` figures freeze — and :meth:`view_counts` answers
         with the root-sampling estimator over the current window slice,
         with per-code Horvitz–Thompson standard errors.  Requires NumPy
         at read time.  A degraded view's restriction predicate (if any)
@@ -419,15 +494,12 @@ class MultiViewCensus:
             view.q = float(q)
             view.seed = seed
             return
+        view.expired = self._expired(view)
         view.mode = "estimate"
         view.q = float(q)
         view.seed = seed
-        view.code_counts.clear()
-        view.pair_counts.clear()
-        view.pair_seq_counts.clear()
-        view.total = 0
-        view.heap = []
-        view.wake_t = None
+        view.ledger = None
+        view.runs = {}
         self._unroute(view)
         rec = self._obs
         if rec is not None:
@@ -457,27 +529,21 @@ class MultiViewCensus:
     def _backfill(self, view: _ViewState) -> None:
         """Replay the retained ledger through a newly registered view.
 
-        Entries are replayed in discovery order with the expiry horizon
-        interleaved at each entry's completion time — the exact
-        insert/expire sequence a from-start engine would have run over
-        these entries, so counts (and, when no live code's history
-        predates the retention horizon, counter key order too) match an
-        independent :class:`OnlineCensus` of the same window.
+        Entries are replayed in discovery order, each judged at its own
+        completion time — the fold sequence a from-start engine would
+        have run over these entries, so counts (and, when no live key's
+        history predates the retention horizon, counter key order too)
+        match an independent :class:`OnlineCensus` of the same window.
         """
         window = view.window
         nodes = view.nodes
-        for _t, _s, entry in sorted(self._ledger, key=lambda item: item[1]):
+        ledger = self._ledger
+        for entry in sorted(ledger.entries[ledger.lo:], key=attrgetter("seq")):
             if nodes is not None and not nodes.issuperset(entry.nodes):
                 continue
             horizon = entry.t_last - window
-            self._expire_view(view, horizon)
-            if entry.anchor_t < horizon:
-                continue
-            self._fold(view, entry)
-        if self._now is not None:
-            self._expire_view(view, self._now - window)
-        if view.heap:
-            self._schedule_wake(view)
+            if entry.anchor_t >= horizon:
+                self._count(view, entry, horizon)
 
     # ------------------------------------------------------------------
     # the stream interface
@@ -518,7 +584,6 @@ class MultiViewCensus:
         self._now = t_a
         self._pushed += 1
         self._retire_ledger(t_a - self._retention)
-        self._run_wakes(t_a)
         for view in self._collecting:
             view.just_counted = []
 
@@ -569,10 +634,11 @@ class MultiViewCensus:
         """Build ledger entries for this push's completions and fan out."""
         flat = self._flat
         # One horizon per plain view, computed once per completing push
-        # with the same ``now - W`` subtraction the expiry path uses.
+        # with the same ``now - W`` subtraction every read uses.
         horizons = [t_a - view.window for view in flat]
         node_index = self._node_index
         ledger = self._ledger
+        fold = self._fold
         for seq, edges, t_root, nodes in completions:
             code = canonical_code(edges)
             pair_seq = tuple(
@@ -581,20 +647,21 @@ class MultiViewCensus:
             entry = _LedgerEntry(t_root, self._seq, code, pair_seq, nodes, t_a, seq)
             self._seq += 1
             self._discovered += 1
-            heapq.heappush(ledger, (t_root, entry.seq, entry))
+            ledger.insert(entry)
             out.append(seq)
             for i, view in enumerate(flat):
-                if t_root < horizons[i]:
+                horizon = horizons[i]
+                if t_root < horizon:
                     # Views are sorted by window descending, so every
                     # remaining window is shorter and rejects too.
                     break
-                self._fold(view, entry)
+                fold(view, entry, horizon)
             if node_index:
                 routed = self._route_sliced(nodes)
                 for view in routed:
-                    if t_root < t_a - view.window:
-                        continue
-                    self._fold(view, entry)
+                    horizon = t_a - view.window
+                    if t_root >= horizon:
+                        fold(view, entry, horizon)
 
     def _route_sliced(self, nodes: tuple) -> list[_ViewState]:
         """Sliced views whose node set covers every node of the instance."""
@@ -611,41 +678,57 @@ class MultiViewCensus:
         ]
         return out
 
-    def _fold(self, view: _ViewState, entry: _LedgerEntry) -> None:
-        """Count one accepted instance into one view."""
+    def _fold(self, view: _ViewState, entry: _LedgerEntry, horizon: float) -> None:
+        """Count one instance the view's window accepts (``horizon = t - W``)."""
         if view.predicate is not None:
             offset = self._offset
             local_inst = tuple(i - offset for i in entry.events)
             if not view.predicate(self._graph, local_inst):
                 return
-        view.code_counts[entry.code] += 1
-        pair_counts = view.pair_counts
-        for ptype in entry.pair_seq:
-            pair_counts[ptype] += 1
-        view.pair_seq_counts[entry.pair_seq] += 1
-        view.total += 1
-        view.discovered += 1
-        item = (entry.anchor_t, entry.seq, entry)
-        heapq.heappush(view.heap, item)
-        if view.heap[0] is item or view.wake_t is None:
-            self._schedule_wake(view)
+        self._count(view, entry, horizon)
         if view.collect:
             view.just_counted.append(entry.events)
 
-    def advance_to(self, now: float) -> int:
-        """Move the stream clock forward without an event; expire views.
+    def _count(self, view: _ViewState, entry: _LedgerEntry, horizon: float) -> None:
+        """Record an accepted instance in the view's ledger and run map.
 
-        Returns the total instances retired across all views.
+        A key is *dead* when its latest anchor lies below ``horizon``:
+        an eager counter would have deleted it, so it re-enters at the
+        end of the run order.
         """
+        ledger = view.ledger
+        if ledger is not self._ledger:
+            ledger.retire(horizon)
+            ledger.insert(entry)
+        view.discovered += 1
+        anchor = entry.anchor_t
+        runs = view.runs
+        for key in entry.keys:
+            last = runs.get(key)
+            if last is None:
+                runs[key] = anchor
+            elif last < horizon:
+                del runs[key]
+                runs[key] = anchor
+            elif anchor > last:
+                runs[key] = anchor
+
+    def advance_to(self, now: float) -> int:
+        """Move the stream clock forward without an event.
+
+        Returns the total instances that left the exact views' windows.
+        """
+        if not math.isfinite(now):
+            raise ValueError(f"cannot advance to a non-finite time t={now}")
         if self._now is not None and now < self._now:
             raise ValueError(
                 f"cannot advance backward: clock is at t={self._now}, got t={now}"
             )
+        exact = [view for view in self._views.values() if view.mode == "exact"]
+        before = sum(self._live(view) for view in exact)
         self._now = now
-        before = sum(view.expired for view in self._views.values())
         self._retire_ledger(now - self._retention)
-        self._run_wakes(now)
-        return sum(view.expired for view in self._views.values()) - before
+        return before - sum(self._live(view) for view in exact)
 
     def drain(
         self, events: Iterable[Event | tuple]
@@ -656,80 +739,51 @@ class MultiViewCensus:
             yield idx, self.push(event)
 
     # ------------------------------------------------------------------
-    # expiry: the scheduled wake heap
+    # horizons
     # ------------------------------------------------------------------
-    def _schedule_wake(self, view: _ViewState) -> None:
-        """(Re)arm the view's wake at its oldest anchor's earliest exit.
+    def _retire_ledger(self, horizon: float) -> None:
+        """Drop shared-ledger entries anchored below the retention horizon.
 
-        The wake time is widened *down* by the library's ulp slack so
-        floating point can only make a wake early (a cheap no-op
-        re-check), never late — lateness would reorder the per-view
-        insert/expire sequence against a single-view engine.
+        Every view's window is at most ``retention``, so a retired entry
+        has already left (or never entered) every view's window.  The
+        ``online.expire.retired`` counter counts these retirements; for
+        a solo unrestricted engine (``retention == window``) that is
+        exactly the view's ``expired``.
         """
-        from repro.online.census import _widen_down
-
-        wake = _widen_down(view.heap[0][0] + view.window)
-        if view.wake_t is not None and view.wake_t <= wake:
-            return
-        view.wake_t = wake
-        heapq.heappush(self._wake, (wake, view.vseq, view))
-
-    def _run_wakes(self, now: float) -> None:
-        """Expire every view whose scheduled wake has come due."""
-        wake_heap = self._wake
-        if not wake_heap or wake_heap[0][0] > now:
-            return
-        resched: list[_ViewState] = []
-        while wake_heap and wake_heap[0][0] <= now:
-            wake, _vseq, view = heapq.heappop(wake_heap)
-            if view.dropped or view.wake_t != wake:
-                continue
-            view.wake_t = None
-            self._expire_view(view, now - view.window)
-            if view.heap:
-                resched.append(view)
-        for view in resched:
-            if not view.dropped and view.heap:
-                self._schedule_wake(view)
-
-    def _expire_view(self, view: _ViewState, horizon: float) -> None:
-        """Retire the view's instances anchored strictly below ``horizon``."""
-        heap = view.heap
-        retired = 0
-        code_counts = view.code_counts
-        pair_counts = view.pair_counts
-        pair_seq_counts = view.pair_seq_counts
-        while heap and heap[0][0] < horizon:
-            entry = heapq.heappop(heap)[2]
-            retired += 1
-            code_counts[entry.code] -= 1
-            if not code_counts[entry.code]:
-                del code_counts[entry.code]
-            for ptype in entry.pair_seq:
-                pair_counts[ptype] -= 1
-                if not pair_counts[ptype]:
-                    del pair_counts[ptype]
-            pair_seq_counts[entry.pair_seq] -= 1
-            if not pair_seq_counts[entry.pair_seq]:
-                del pair_seq_counts[entry.pair_seq]
-            view.total -= 1
-            view.expired += 1
+        retired = self._ledger.retire(horizon)
         if retired and self._obs is not None:
             self._obs.inc("online.expire.retired", retired)
 
-    def _retire_ledger(self, horizon: float) -> None:
-        """Drop ledger entries anchored below the retention horizon.
+    def _live(self, view: _ViewState) -> int:
+        """The exact view's live instance count: one bisect."""
+        if self._now is None:
+            return 0
+        return view.ledger.live(self._now - view.window)
 
-        Every view's window is at most ``retention``, so a retired entry
-        has already expired from (or was never counted by) every view —
-        the ledger only serves :meth:`add_view` backfill.
-        """
-        ledger = self._ledger
-        retired = 0
-        while ledger and ledger[0][0] < horizon:
-            heapq.heappop(ledger)
-            retired += 1
-        self._retired += retired
+    def _expired(self, view: _ViewState) -> int:
+        """Instances the view counted that have left its window."""
+        if view.mode != "exact":
+            return view.expired
+        return view.discovered - self._live(view)
+
+    def _live_entries(self, view: _ViewState) -> list[_LedgerEntry]:
+        """The exact view's live instances, in ``(anchor_t, seq)`` order."""
+        if self._now is None:
+            return []
+        horizon = self._now - view.window
+        ledger = view.ledger
+        if ledger is not self._ledger:
+            ledger.retire(horizon)
+        return ledger.since(horizon)
+
+    def _exact_view(self, name: str) -> _ViewState:
+        view = self._require_view(name)
+        if view.mode != "exact":
+            raise ValueError(
+                f"view {name!r} is degraded to estimate mode and keeps no "
+                "exact counters; use view_counts()"
+            )
+        return view
 
     # ------------------------------------------------------------------
     # tick-boundary-sensitive restrictions
@@ -771,32 +825,25 @@ class MultiViewCensus:
     # ------------------------------------------------------------------
     def counts(self, name: str) -> Counter:
         """Per-code counts of one exact view (a copy)."""
-        view = self._require_view(name)
-        if view.mode != "exact":
-            raise ValueError(
-                f"view {name!r} is degraded to estimate mode and keeps no "
-                "exact counters; use view_counts()"
-            )
-        if self._now is not None:
-            self._run_wakes(self._now)
-        return Counter(view.code_counts)
+        view = self._exact_view(name)
+        return _ordered(view.runs, Counter(map(_code_of, self._live_entries(view))))
 
     def census(self, name: str) -> MotifCensus:
         """One exact view's counters as a :class:`MotifCensus` snapshot."""
-        view = self._require_view(name)
-        if view.mode != "exact":
-            raise ValueError(
-                f"view {name!r} is degraded to estimate mode; use view_counts()"
-            )
-        if self._now is not None:
-            self._run_wakes(self._now)
+        view = self._exact_view(name)
+        live = self._live_entries(view)
+        pair_seqs = Counter(map(_pair_seq_of, live))
+        pairs: Counter = Counter()
+        for pair_seq, count in pair_seqs.items():
+            for ptype in pair_seq:
+                pairs[ptype] += count
         return MotifCensus(
             n_events=self._n_events,
             constraints=self._constraints,
-            code_counts=Counter(view.code_counts),
-            pair_counts=Counter(view.pair_counts),
-            pair_sequence_counts=Counter(view.pair_seq_counts),
-            total=view.total,
+            code_counts=_ordered(view.runs, Counter(map(_code_of, live))),
+            pair_counts=_ordered(view.runs, pairs),
+            pair_sequence_counts=_ordered(view.runs, pair_seqs),
+            total=len(live),
         )
 
     def proportions(self, name: str) -> dict[str, float]:
@@ -817,13 +864,15 @@ class MultiViewCensus:
             "window": view.window,
             "mode": view.mode,
             "discovered": view.discovered,
-            "expired": view.expired,
+            "expired": self._expired(view),
         }
         if view.mode == "exact":
-            if self._now is not None:
-                self._run_wakes(self._now)
+            live = self._live_entries(view)
+            codes = Counter(map(_code_of, live))
             base.update(
-                exact=True, codes=dict(view.code_counts), total=view.total
+                exact=True,
+                codes={key: codes[key] for key in view.runs if key in codes},
+                total=len(live),
             )
             return base
         codes, stderr = self._estimate_view(view)
@@ -888,9 +937,9 @@ class MultiViewCensus:
                 name: {
                     "window": view.window,
                     "mode": view.mode,
-                    "live": view.total,
+                    "live": self._live(view) if view.mode == "exact" else 0,
                     "discovered": view.discovered,
-                    "expired": view.expired,
+                    "expired": self._expired(view),
                     "sliced": view.nodes is not None,
                     "restricted": view.predicate is not None,
                 }
@@ -920,7 +969,7 @@ class MultiViewCensus:
         if self._now is None:
             return 0
         # Exact views only need the timing bound δ of tail (completed
-        # instances live in their heaps), but degraded views re-read
+        # instances live in the ledgers), but degraded views re-read
         # graph.slice(now - window, now) at estimate time — keep the
         # largest degraded window's worth of events alive.
         reach = self._delta
@@ -947,6 +996,74 @@ class MultiViewCensus:
     def _bind_kernel(self) -> None:
         """(Re)bind the plan's kernel to the current retained storage."""
         self._kernel = self._plan.bind(self._graph.storage)
+
+    # ------------------------------------------------------------------
+    # checkpoints (the single-view format; see repro.online.checkpoint)
+    # ------------------------------------------------------------------
+    def _solo_view(self) -> _ViewState:
+        if len(self._views) != 1:
+            raise ValueError(
+                f"checkpoints hold one view; this engine has {len(self._views)}"
+            )
+        (view,) = self._views.values()
+        return view
+
+    def checkpoint_state(self) -> dict:
+        """The stream state a single-view checkpoint records.
+
+        ``ledger`` lists the view's live instances as ``(anchor_t, code,
+        pair_seq)`` in ``(anchor_t, seq)`` order.
+        """
+        view = self._solo_view()
+        live = self._live_entries(view)
+        return {
+            "now": self._now,
+            "offset": self._offset,
+            "pushed": self._pushed,
+            "discovered": view.discovered,
+            "expired": view.discovered - len(live),
+            "total": len(live),
+            "ledger": [(e.anchor_t, e.code, e.pair_seq) for e in live],
+        }
+
+    def resume(
+        self,
+        graph: TemporalGraph,
+        *,
+        now: float | None,
+        offset: int,
+        pushed: int,
+        discovered: int,
+        ledger: Iterable[tuple[float, str, tuple]],
+    ) -> None:
+        """Install a checkpointed stream into a fresh single-view engine.
+
+        ``graph`` is the retained tail (already on this engine's storage
+        backend), ``ledger`` the view's live instances as ``(anchor_t,
+        code, pair_seq)`` in anchor order — each counted without
+        re-running the view's predicate, whose verdict was committed at
+        discovery — and ``discovered`` the view's lifetime count.  The
+        prefix store is regrown from the tail.
+        """
+        view = self._solo_view()
+        if self._pushed or self._ledger:
+            raise ValueError("resume() needs a fresh engine")
+        self._graph = graph
+        self._bind_kernel()
+        self._offset = offset
+        self._now = self._last_event_t = now
+        self._pushed = pushed
+        horizon = -math.inf if now is None else now - view.window
+        for anchor_t, code, pair_seq in ledger:
+            # Node tuples and event indices are fan-out-time data (slice
+            # routing, predicate verdicts); a resumed solo engine never
+            # re-folds these entries, so they stay empty.
+            entry = _LedgerEntry(anchor_t, self._seq, code, pair_seq, (), anchor_t, ())
+            self._seq += 1
+            self._ledger.insert(entry)
+            self._count(view, entry, horizon)
+        view.discovered = self._discovered = discovered
+        self._rebuild_prefixes()
 
     def _rebuild_prefixes(self) -> None:
         """Regrow the prefix store from the retained tail (restore path)."""

@@ -38,6 +38,8 @@ Inline ops (answered by the server process itself):
   (and its ``"default"`` view) on first use (``window`` required then,
   plus the usual motif knobs and an optional ``retention`` — the
   largest window any later view may use, defaulting to ``window``).
+  Each event is ``[u, v, t]`` with integer node ids and a finite ``t``
+  (:func:`push_event`).
 * ``view_add`` — register a named view on an existing stream: its own
   ``window``, optional ``nodes`` slice, optional ``backfill`` (default
   true).  Under the ``degrade`` overflow policy a server past its
@@ -75,6 +77,7 @@ a well-framed line gets ``bad_json`` and the connection stays open.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Mapping
 
 __all__ = [
@@ -88,6 +91,7 @@ __all__ = [
     "encode",
     "error_response",
     "ok_response",
+    "push_event",
     "validate_request",
 ]
 
@@ -195,6 +199,32 @@ def constraint_fields(params: Mapping) -> tuple[float | None, float | None]:
             "census is unbounded work)",
         )
     return delta_c, delta_w
+
+
+def push_event(raw: Any, accepted: int) -> tuple[int, int, float]:
+    """Check one wire ``[u, v, t]`` push event; return it as a tuple.
+
+    Node ids must be JSON integers (``true``/``false`` are not), and
+    ``t`` a finite JSON number — nothing is coerced, so ``"12"``, ``1.7``
+    or ``"nan"`` are refused instead of silently truncated or parsed.
+    ``accepted`` (events of this batch already pushed) rides along on
+    the ``bad_request`` error.
+    """
+    if isinstance(raw, (list, tuple)) and len(raw) == 3:
+        u, v, t = raw
+        if type(u) is int and type(v) is int and type(t) in (int, float):
+            try:
+                t = float(t)
+            except OverflowError:
+                t = math.inf
+            if math.isfinite(t):
+                return u, v, t
+    raise ProtocolError(
+        "bad_request",
+        f"push rejected after {accepted} events: each event must be [u, v, t] "
+        f"with integer node ids and a finite number t, got {raw!r}",
+        accepted=accepted,
+    )
 
 
 def validate_request(obj: Mapping) -> tuple[Any, str]:

@@ -460,11 +460,7 @@ class CensusServer:
         with self.registry.span("service.push.seconds"):
             try:
                 for ev in events:
-                    if not isinstance(ev, (list, tuple)) or len(ev) != 3:
-                        raise ProtocolError(
-                            "bad_request", "each event must be [u, v, t]"
-                        )
-                    engine.push((int(ev[0]), int(ev[1]), float(ev[2])))
+                    engine.push(protocol.push_event(ev, accepted))
                     accepted += 1
             except ProtocolError:
                 raise

@@ -38,7 +38,7 @@ from abc import ABC, abstractmethod
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import repro.obs as _obs
-from repro.core.events import Event, validate_events
+from repro.core.events import Event, check_timestamp, validate_events
 
 
 class GraphStorage(ABC):
@@ -407,8 +407,7 @@ class GraphStorage(ABC):
 
 def _validate_arrival(ev: Event, last: float | None) -> float:
     """Check one arriving event against the stream tail; return its time."""
-    if ev.t < 0:
-        raise ValueError(f"event {ev} has a negative timestamp")
+    check_timestamp(ev)
     if ev.is_loop():
         raise ValueError(f"event {ev} is a self-loop; motif models exclude loops")
     if last is not None and ev.t < last:

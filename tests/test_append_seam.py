@@ -109,6 +109,15 @@ class TestAppendEdges:
         assert len(empty) == 0
         assert empty.start_time is None and empty.end_time is None
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_append_rejected(self, backend, t):
+        storage = get_backend(backend).from_events(list(BASE))
+        with pytest.raises(ValueError, match="non-finite"):
+            storage.append(Event(0, 1, t))
+        with pytest.raises(ValueError, match="non-finite"):
+            storage.update([Event(0, 1, 6.0), Event(1, 2, t)])
+        assert storage.to_events() == tuple(BASE)
+
     def test_rejected_batch_leaves_storage_untouched(self, backend):
         storage = get_backend(backend).from_events(list(BASE))
         with pytest.raises(ValueError, match="non-decreasing"):

@@ -78,6 +78,21 @@ class TestValidateEvents:
         with pytest.raises(ValueError, match="negative"):
             validate_events([Event(0, 1, -1.0)])
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_rejects_non_finite_timestamps(self, t):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_events([Event(1, 2, 1.0), Event(2, 3, t)])
+
+    def test_rejects_negative_infinity(self):
+        with pytest.raises(ValueError, match="negative"):
+            validate_events([Event(1, 2, float("-inf"))])
+
+    def test_graph_constructor_rejects_nan(self):
+        from repro.core.temporal_graph import TemporalGraph
+
+        with pytest.raises(ValueError, match="non-finite"):
+            TemporalGraph([(1, 2, 1.0), (2, 3, float("nan"))])
+
     def test_rejects_self_loops_by_default(self):
         with pytest.raises(ValueError, match="self-loop"):
             validate_events([Event(1, 1, 0.0)])

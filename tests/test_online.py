@@ -293,6 +293,29 @@ class TestBookkeeping:
         with pytest.raises(ValueError, match="non-decreasing"):
             engine.push(Event(1, 2, 10.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_push_rejects_non_finite_time(self, bad):
+        """A NaN clock would compare false against every later arrival
+        and let time run backwards (regression)."""
+        engine = OnlineCensus(3, TimingConstraints(delta_w=5.0), 10.0)
+        engine.push((0, 1, 2.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.push((1, 2, bad))
+        assert engine.now == 2.0 and engine.pushed == 1
+        with pytest.raises(ValueError, match="non-decreasing"):
+            engine.push((3, 1, 0.5))
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.advance_to(bad)
+        assert engine.now == 2.0
+
+    def test_non_finite_first_push_leaves_clock_unset(self):
+        engine = OnlineCensus(3, TimingConstraints(delta_w=5.0), 10.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.push((1, 2, float("nan")))
+        assert engine.now is None and engine.pushed == 0
+        engine.push((3, 1, 0.5))
+        assert engine.now == 0.5
+
     def test_advance_cannot_go_backward(self):
         engine = OnlineCensus(2, TimingConstraints(delta_w=5.0), 10.0)
         engine.push(Event(0, 1, 5.0))

@@ -261,6 +261,44 @@ class TestPushStream:
         assert err.value.code == "bad_stream"
         client.stream_close(name)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["12", 1, 5.0],
+            [1.7, 2, 5.0],
+            [True, 2, 5.0],
+            [1, False, 5.0],
+            [1, 2, "nan"],
+            [1, 2, float("nan")],
+            [1, 2, float("inf")],
+            [1, 2, True],
+            [1, 2, None],
+            [1, 2],
+            "1,2,5",
+        ],
+    )
+    def test_push_rejects_lax_event_fields(self, client, bad):
+        """Node ids must be JSON integers and t a finite number: nothing
+        is coerced, and the valid prefix of the batch stays committed."""
+        name = "lax"
+        client.push([], stream=name, window=50.0, delta_w=10.0)
+        reply = client.request("push", stream=name, events=[[0, 1, 1.0], bad])
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "bad_request"
+        assert reply["error"]["accepted"] == 1
+        state = client.push([(2, 3, 2.0)], stream=name)
+        assert state["pushed"] == 2 and state["now"] == 2.0
+        client.stream_close(name)
+
+    def test_push_negative_time_is_bad_stream(self, client):
+        name = "negative"
+        reply = client.request(
+            "push", stream=name, window=50.0, delta_w=10.0, events=[[0, 1, -1.0]]
+        )
+        assert reply["error"]["code"] == "bad_stream"
+        assert reply["error"]["accepted"] == 0
+        client.stream_close(name)
+
     def test_push_batch_cap(self, served_events):
         handle = start_in_thread(
             events=served_events[:50], workers=1, max_push_batch=10

@@ -55,6 +55,7 @@ import pytest
 
 import repro.obs as obs
 from bench_storage import CONSTRAINTS, STREAM_CONFIG
+from check_regression import provenance
 from repro.algorithms.counting import run_census
 from repro.core.temporal_graph import TemporalGraph
 from repro.datasets.generators import generate
@@ -290,6 +291,7 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - manual too
             # disabled path is gated through census_engine itself.
             "instrumentation": overhead,
             "obs_snapshot": snapshot,
+            "provenance": provenance(),
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)

@@ -26,6 +26,7 @@ from dataclasses import replace
 import pytest
 
 from bench_storage import CONSTRAINTS, STREAM_CONFIG, _best_of
+from check_regression import provenance
 from repro.algorithms.counting import run_census
 from repro.core.temporal_graph import TemporalGraph
 from repro.datasets.generators import generate
@@ -98,6 +99,7 @@ def compare(
             "delta_w": CONSTRAINTS.delta_w,
         },
         "results": results,
+        "provenance": provenance(),
     }
 
 

@@ -34,6 +34,7 @@ from dataclasses import replace
 
 import pytest
 
+from check_regression import provenance
 from repro.algorithms.counting import run_census
 from repro.core.constraints import TimingConstraints
 from repro.datasets.generators import ActivityConfig, generate
@@ -190,6 +191,7 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - manual too
                 for backend, row in results.items()
                 for kernel in KERNELS
             ],
+            "provenance": provenance(),
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)

@@ -72,8 +72,9 @@ def enumerate_instances(
         Optional filter applied to each *complete* instance (model
         restrictions plug in here).
     max_instances:
-        Optional hard cap on the number of instances yielded; used by
-        sampling estimators and runaway protection in exploratory runs.
+        Optional hard cap on the number of instances yielded (``0``
+        yields none; negative caps are rejected); used by sampling
+        estimators and runaway protection in exploratory runs.
     roots:
         Restrict the search to instances whose *first* event index is in
         this collection (every instance has exactly one root, so sampling
@@ -102,6 +103,8 @@ def enumerate_instances(
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
+    if max_instances is not None and max_instances < 0:
+        raise ValueError("max_instances must be >= 0")
     if jobs is not None and roots is None and max_instances is None:
         from repro.parallel.executor import resolve_jobs
 

@@ -48,9 +48,11 @@ class TimingConstraints:
     delta_w: float | None = None
 
     def __post_init__(self) -> None:
-        if self.delta_c is not None and self.delta_c <= 0:
+        # ``not delta > 0`` also rejects NaN, which every comparison
+        # treats as unbounded.
+        if self.delta_c is not None and not self.delta_c > 0:
             raise ValueError("delta_c must be positive (or None)")
-        if self.delta_w is not None and self.delta_w <= 0:
+        if self.delta_w is not None and not self.delta_w > 0:
             raise ValueError("delta_w must be positive (or None)")
 
     # ------------------------------------------------------------------

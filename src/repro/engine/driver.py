@@ -21,10 +21,11 @@ ascending event order — the DFS sequence, without the DFS.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import repro.obs as _obs
-from repro.engine.kernels import Partial
+from repro.engine.kernels import Partial, count_kernel_demotion
 from repro.obs import labeled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,6 +76,24 @@ def _observe_levels(stats, level_partials, level_ext) -> None:
         rec.observe(ext_metric, int(level_ext[d]))
 
 
+def _run_stats(plan: "ExecutionPlan"):
+    """Bind observability once per run: ``None`` when recording is off.
+
+    The labeled metric names are built here, never per block or per
+    level, and ``stats is None`` is the entire disabled-path cost inside
+    the block loops.
+    """
+    rec = _obs.ACTIVE
+    if rec is None:
+        return None
+    rec.inc(labeled("engine.run_plan.calls", kernel=plan.kernel_name))
+    return (
+        rec,
+        labeled("engine.frontier.partials", kernel=plan.kernel_name),
+        labeled("engine.frontier.extensions", kernel=plan.kernel_name),
+    )
+
+
 def run_plan(
     plan: "ExecutionPlan",
     graph: "TemporalGraph",
@@ -86,88 +105,61 @@ def run_plan(
 
     ``roots`` restricts the search to instances anchored at those event
     indices, in the order given (the sampling estimators' contract);
-    ``max_instances`` stops the stream after that many yields.
+    ``max_instances`` stops the stream after that many instances (``0``
+    yields none).  Nothing runs until the first instance is requested.
     """
+    instances = _instances(plan, graph, roots)
+    if max_instances is None:
+        return instances
+    return islice(instances, max_instances)
+
+
+def _instances(plan, graph, roots) -> Iterator[Instance]:
+    """:func:`run_plan` without the cap: the block lane or the Partial path."""
     predicate = plan.predicate
     storage = graph.storage
     m = len(storage)
     root_iter: Iterable[int] = range(m) if roots is None else roots
-    yielded = 0
 
     if plan.n_events == 1:
         for root in root_iter:
             inst = (root,)
             if predicate is None or predicate(graph, inst):
                 yield inst
-                yielded += 1
-                if max_instances is not None and yielded >= max_instances:
-                    return
         return
 
     kernel = plan.bind(storage)
-    times = storage.times
-    event_at = storage.event_at
-    # Observability binds once per run: the labeled metric names are built
-    # here, never per block or per level, and ``stats is None`` is the
-    # entire disabled-path cost inside ``_expand_block``.
-    rec = _obs.ACTIVE
-    stats = None
-    if rec is not None:
-        stats = (
-            rec,
-            labeled("engine.frontier.partials", kernel=plan.kernel_name),
-            labeled("engine.frontier.extensions", kernel=plan.kernel_name),
-        )
-        rec.inc(labeled("engine.run_plan.calls", kernel=plan.kernel_name))
+    stats = _run_stats(plan)
 
     # Block lane (any kernel with ``expand_block``; the numpy kernel
     # serves it): the kernel grows each root block to completion with
     # its frontier held as arrays and hands back the completed instances
     # as one array in the exact DFS yield order — no Partial objects, no
-    # intermediate triples.  Unavailable (tail appends pending) routes
-    # to the Partial path below, unchanged.
+    # intermediate triples.
     expand = getattr(kernel, "expand_block", None)
-    if expand is not None and kernel.block_ready():
-        for block_roots in _root_blocks(root_iter):
-            rows, level_partials, level_ext = expand(block_roots)
-            if stats is not None:
-                _observe_levels(stats, level_partials, level_ext)
-            for row in rows.tolist():
-                inst = tuple(row)
-                if predicate is not None and not predicate(graph, inst):
-                    continue
-                yield inst
-                yielded += 1
-                if max_instances is not None and yielded >= max_instances:
-                    return
-        return
+    if expand is not None:
+        if kernel.block_ready():
+            for block_roots in _root_blocks(root_iter):
+                rows, level_partials, level_ext = expand(block_roots)
+                if stats is not None:
+                    _observe_levels(stats, level_partials, level_ext)
+                for row in rows.tolist():
+                    inst = tuple(row)
+                    if predicate is None or predicate(graph, inst):
+                        yield inst
+            return
+        # Tail appends pending: the lane cannot serve this run, and the
+        # Partial path below answers with the generic admission.
+        count_kernel_demotion(plan.kernel_name, "generic")
 
-    block_cap = FIRST_BLOCK
-    block: list[Partial] = []
-    for root in root_iter:
-        ev = event_at(root)
-        block.append(Partial((root,), (ev.u, ev.v), ev.t, ev.t))
-        if len(block) >= block_cap:
-            if max_instances is None:
-                yield from _expand_block(plan, graph, kernel, block, times, m, stats)
-            else:
-                for inst in _expand_block(plan, graph, kernel, block, times, m, stats):
-                    yield inst
-                    yielded += 1
-                    if yielded >= max_instances:
-                        return
-            block = []
-            if block_cap < ROOT_BLOCK:
-                block_cap *= 2
-    if block:
-        if max_instances is None:
-            yield from _expand_block(plan, graph, kernel, block, times, m, stats)
-        else:
-            for inst in _expand_block(plan, graph, kernel, block, times, m, stats):
-                yield inst
-                yielded += 1
-                if yielded >= max_instances:
-                    return
+    times = storage.times
+    event_at = storage.event_at
+    for block_roots in _root_blocks(root_iter):
+        block = []
+        for root in block_roots:
+            ev = event_at(root)
+            block.append(Partial((root,), (ev.u, ev.v), ev.t, ev.t))
+        yield from _expand_block(plan, graph, kernel, block, times, m, stats)
 
 
 def _expand_block(plan, graph, kernel, frontier, times, m, stats=None) -> Iterator[Instance]:
@@ -228,15 +220,7 @@ def run_plan_blocks(
     expand = getattr(kernel, "expand_block", None)
     if expand is None or not kernel.block_ready():
         return None
-    rec = _obs.ACTIVE
-    stats = None
-    if rec is not None:
-        stats = (
-            rec,
-            labeled("engine.frontier.partials", kernel=plan.kernel_name),
-            labeled("engine.frontier.extensions", kernel=plan.kernel_name),
-        )
-        rec.inc(labeled("engine.run_plan.calls", kernel=plan.kernel_name))
+    stats = _run_stats(plan)
     root_iter: Iterable[int] = range(len(storage)) if roots is None else roots
 
     def _blocks():

@@ -30,21 +30,20 @@ Two kernels implement the contract:
 * :class:`GenericExtensionKernel` — one
   :meth:`~repro.storage.base.GraphStorage.adjacent_events_between`
   bisection per partial; correct on every backend.
-* :class:`NumpyExtensionKernel` — extends whole *batches* of partials
-  with a constant number of vectorized ``searchsorted`` probes over the
-  banded CSR machinery of
+* :class:`NumpyExtensionKernel` — the same contract (inherited), plus
+  the driver's array-native block lane over the banded CSR machinery of
   :class:`~repro.storage.numpy_backend.NumpyStorage`
-  (:meth:`~repro.storage.numpy_backend.NumpyStorage.extension_arrays`),
-  falling back to the generic path while tail appends are pending.
+  (:meth:`~repro.storage.numpy_backend.NumpyStorage.extension_arrays`).
 
-Beyond the contract, a kernel may serve the driver's **block lane**:
-``block_ready()`` plus ``expand_block(roots)``, which grows a whole root
-block to completion and returns the completed instances as one
-``(n, n_events)`` array in DFS yield order (see
+The **block lane** is ``block_ready()`` plus ``expand_block(roots)``,
+which grows a whole root block to completion and returns the completed
+instances as one ``(n, n_events)`` array in DFS yield order (see
 :mod:`repro.engine.driver`).  The lane is kernel-agnostic — the driver
 and the batched census fold only probe for the two methods — and the
-numpy kernel serves it with its frontier held as arrays, through the
-same admission sweep as ``extend_frontier``.
+numpy kernel serves it with its frontier held as arrays, through one
+vectorized admission sweep.  While tail appends are pending the banded
+arrays are unavailable, ``block_ready()`` is False, and the driver takes
+the Partial path through ``extend_frontier``.
 
 Backends advertise their native kernel via the
 :attr:`~repro.storage.base.GraphStorage.extension_kernel` class
@@ -54,7 +53,6 @@ advertised kernel is unavailable.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 import repro.obs as _obs
@@ -99,10 +97,10 @@ class Partial:
 class ExtensionKernel:
     """Base kernel: the scalar admission arithmetic, both traversals.
 
-    Subclasses may override :meth:`_extend_partialwise` with a
-    vectorized equivalent; the event-major path (single arriving event,
-    the online engine's per-push shape) is shared by every kernel so the
-    admission comparisons exist exactly once per traversal direction.
+    Every kernel shares both traversals — partial-major (each partial
+    asks the storage for its candidates) and event-major (one arriving
+    event, the online engine's per-push shape) — so the admission
+    comparisons exist exactly once per traversal direction.
     """
 
     kernel_name = "generic"
@@ -148,9 +146,7 @@ class ExtensionKernel:
         Semantically ``extend_frontier`` folded into new :class:`Partial`
         records — parents keep their order, each parent's children flip
         to descending event order (the LIFO reversal of the historical
-        DFS; see :mod:`repro.engine.driver`).  Kernels may override this
-        to fuse admission and construction into one pass; the result
-        must stay element-for-element identical to this reference.
+        DFS; see :mod:`repro.engine.driver`).
         """
         nxt: list[Partial] = []
         group: list[Partial] = []
@@ -263,7 +259,7 @@ class GenericExtensionKernel(ExtensionKernel):
 
 
 class NumpyExtensionKernel(ExtensionKernel):
-    """Vectorized kernel over :class:`NumpyStorage`'s banded CSR arrays.
+    """Array-native block lane over :class:`NumpyStorage`'s banded CSR.
 
     One admission sweep (:meth:`_admit`) extends a whole frontier held
     as arrays — a padded node matrix (CSR slots, one column per
@@ -271,13 +267,10 @@ class NumpyExtensionKernel(ExtensionKernel):
     per-(partial, node) half-open window queries
     become batched ``searchsorted`` probes, the ragged candidate ranges
     gather through one fancy-index, and dedup/adjacency/node-cap
-    admission run as array ops.  Two entry points feed it:
-
-    * :meth:`expand_block` keeps the frontier in that array form across
-      every level of a root block (the driver's block lane);
-    * :meth:`_vector_candidates` packs arbitrary partial records into
-      the same arrays (the ``extend_frontier`` contract); only the
-      final triple materialization is per-extension Python.
+    admission run as array ops.  :meth:`expand_block` keeps the frontier
+    in that form across every level of a root block (the driver's block
+    lane).  ``extend_frontier`` is the base class's: the online engine's
+    single-event pushes and the tail-pending Partial path take it.
     """
 
     kernel_name = "numpy"
@@ -285,73 +278,6 @@ class NumpyExtensionKernel(ExtensionKernel):
     def __init__(self, plan: "ExecutionPlan", storage: "GraphStorage") -> None:
         super().__init__(plan, storage)
         self._block_arrays: dict | None = None
-
-    def _extend_partialwise(
-        self, partials: Sequence, lo: int, hi: int, need_nodes: bool
-    ) -> list[Extension]:
-        vec = self._vector_candidates(partials, lo, hi)
-        if vec is None:
-            return super()._extend_partialwise(partials, lo, hi, need_nodes)
-        if not vec:
-            return []
-        cand, cand_part, cu, cv, u_in, v_in = vec
-        positions = cand_part.tolist()
-        indices = cand.tolist()
-        if not need_nodes:
-            return list(zip(positions, indices, repeat(None)))
-        out: list[Extension] = []
-        for pos, idx, ui, vi, uu, vv in zip(
-            positions, indices, u_in.tolist(), v_in.tolist(), cu.tolist(), cv.tolist()
-        ):
-            nodes = partials[pos].nodes
-            if ui:
-                new_nodes = nodes if vi else nodes + (vv,)
-            elif vi:
-                new_nodes = nodes + (uu,)
-            else:
-                new_nodes = nodes + (uu, vv)
-            out.append((pos, idx, new_nodes))
-        return out
-
-    def _vector_candidates(self, partials: Sequence, lo: int, hi: int):
-        """Pack partial records into frontier arrays and run :meth:`_admit`.
-
-        Returns ``None`` when the storage cannot serve the banded arrays
-        (pending tail appends) — callers fall back to the generic path —
-        or ``()`` when no extension is admissible.  Otherwise ``(cand,
-        cand_part, cu, cv, u_in, v_in)``: the admitted event indices,
-        their partial positions (grouped in input order, events
-        ascending within a partial), the candidate endpoints and their
-        membership masks against the partial's node tuple.
-        """
-        arrays = getattr(self._storage, "extension_arrays", lambda: None)()
-        n_p = len(partials)
-        if arrays is None or n_p == 0:
-            return None if arrays is None else ()
-        keys = arrays["keys"]
-        n_nodes = np.fromiter((len(p.nodes) for p in partials), np.int64, n_p)
-        total_q = int(n_nodes.sum())
-        if total_q == 0 or not len(keys):
-            return ()
-        flat_nodes = np.fromiter(
-            (node for p in partials for node in p.nodes), np.int64, total_q
-        )
-        # Node ids -> CSR slots; a node without events gets -1, which
-        # probes nothing and matches no candidate endpoint.
-        pos = np.minimum(keys.searchsorted(flat_nodes), len(keys) - 1)
-        # The pad is as wide as the *largest* partial, not the cap — a
-        # root always carries two nodes even under ``max_nodes=1``.
-        slots = np.full((int(n_nodes.max()), n_p), -1, dtype=np.int64)
-        slots.T[np.arange(len(slots)) < n_nodes[:, None]] = np.where(
-            keys[pos] == flat_nodes, pos, -1
-        )
-        t_root = np.fromiter((p.t_root for p in partials), np.float64, n_p)
-        t_last = np.fromiter((p.t_last for p in partials), np.float64, n_p)
-        hit = self._admit(arrays, slots, n_nodes, t_root, t_last, lo, hi)
-        if hit is None:
-            return ()
-        cand, cand_part, u_in, v_in, _slots = hit
-        return cand, cand_part, arrays["u"][cand], arrays["v"][cand], u_in, v_in
 
     # ------------------------------------------------------------------
     # block path (the driver's array-native lane)
@@ -395,9 +321,7 @@ class NumpyExtensionKernel(ExtensionKernel):
         for depth in range(1, n_events):
             level_partials[depth - 1] = len(seqs)
             final = depth == n_events - 1
-            hit = self._admit(
-                arrays, slots, n_nodes, t_root, t_last, 0, arrays["m"], descending=not final
-            )
+            hit = self._admit(arrays, slots, n_nodes, t_root, t_last, descending=not final)
             if hit is None:
                 return np.empty((0, n_events), np.int64), level_partials, level_ext
             cand, part, u_in, v_in, slots = hit
@@ -422,14 +346,13 @@ class NumpyExtensionKernel(ExtensionKernel):
     # ------------------------------------------------------------------
     # the one admission sweep
     # ------------------------------------------------------------------
-    def _admit(self, arrays, slots, n_nodes, t_root, t_last, lo, hi, *, descending=False):
+    def _admit(self, arrays, slots, n_nodes, t_root, t_last, *, descending=False):
         """Every admissible extension of an array-shaped frontier.
 
         ``slots`` is the ``(pad, n_p)`` node matrix in CSR-slot space,
         one column per partial: column ``i`` holds partial ``i``'s
-        ``n_nodes[i]`` nodes first, ``-1`` for a node without events
-        and in the padding.  Returns ``None`` when nothing is
-        admissible, else ``(cand, cand_part, u_in, v_in, cand_slots)``
+        ``n_nodes[i]`` nodes first, ``-1`` in the padding.  Returns
+        ``None`` when nothing is admissible, else ``(cand, cand_part, u_in, v_in, cand_slots)``
         grouped by partial in input order with events ascending within
         a partial — descending under ``descending=True`` — where
         ``cand_slots`` is a fresh node matrix with each extension's
@@ -510,13 +433,6 @@ class NumpyExtensionKernel(ExtensionKernel):
                     keep = ~dup
                     cand = cand[keep]
                     cand_part = cand_part[keep]
-        if lo > 0 or hi < m:
-            in_range = (cand >= lo) & (cand < hi)
-            if not in_range.all():
-                cand = cand[in_range]
-                cand_part = cand_part[in_range]
-        if not len(cand):
-            return None
 
         # Node-cap admission: membership of each candidate's endpoints in
         # its partial's node column (``take`` plus one compare per pad
@@ -583,8 +499,9 @@ def count_kernel_demotion(src: str, dst: str) -> None:
     """Record one kernel demotion in the obs counters (when enabled).
 
     Covers both compile-time demotion (numba or NumPy absent at plan
-    resolution) and runtime fallback (tail appends pending, so the
-    banded arrays are unavailable for this call).
+    resolution) and the driver's runtime fallback
+    from the block lane to the Partial path (tail appends pending, so
+    the banded arrays are unavailable for the run).
     """
     rec = _obs.ACTIVE
     if rec is not None:

@@ -39,14 +39,8 @@ partial, historical DFS yield order, counter key order.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core._optional import import_numpy
-from repro.engine.kernels import (
-    KERNELS,
-    NumpyExtensionKernel,
-    count_kernel_demotion,
-)
+from repro.engine.kernels import KERNELS, NumpyExtensionKernel
 
 np = import_numpy()
 
@@ -182,76 +176,6 @@ def _admit(nodes_row, n_nodes, cu, cv, node_cap):
 
 
 @_jit
-def _sweep(
-    nodes_pad,
-    n_nodes,
-    t_root,
-    t_last,
-    lo,
-    hi,
-    node_cap,
-    dc,
-    dw,
-    t,
-    u,
-    v,
-    keys,
-    banded,
-    m,
-):
-    """The ``extend_frontier`` sweep over array-shaped partials.
-
-    Returns ``(cand_part, cand, u_in, v_in)`` — admitted extensions
-    grouped by partial in input order, event indices ascending and
-    deduped within a partial (the kernel contract's output order).
-    """
-    n_p = nodes_pad.shape[0]
-    cap = 64
-    out_part = np.empty(cap, np.int64)
-    out_cand = np.empty(cap, np.int64)
-    out_uin = np.empty(cap, np.uint8)
-    out_vin = np.empty(cap, np.uint8)
-    n_out = 0
-    for p in range(n_p):
-        tl = t_last[p]
-        deadline = min(tl + dc, t_root[p] + dw)
-        buf = _gather_candidates(
-            nodes_pad[p], n_nodes[p], tl, deadline, t, keys, banded, m
-        )
-        prev = np.int64(-1)
-        for i in range(buf.shape[0]):
-            c = buf[i]
-            if c == prev:
-                continue
-            prev = c
-            if c < lo or c >= hi:
-                continue
-            ok, ui, vi = _admit(nodes_pad[p], n_nodes[p], u[c], v[c], node_cap)
-            if not ok:
-                continue
-            if n_out == cap:
-                cap = cap * 2
-                g_part = np.empty(cap, np.int64)
-                g_cand = np.empty(cap, np.int64)
-                g_uin = np.empty(cap, np.uint8)
-                g_vin = np.empty(cap, np.uint8)
-                g_part[:n_out] = out_part
-                g_cand[:n_out] = out_cand
-                g_uin[:n_out] = out_uin
-                g_vin[:n_out] = out_vin
-                out_part = g_part
-                out_cand = g_cand
-                out_uin = g_uin
-                out_vin = g_vin
-            out_part[n_out] = p
-            out_cand[n_out] = c
-            out_uin[n_out] = 1 if ui else 0
-            out_vin[n_out] = 1 if vi else 0
-            n_out += 1
-    return out_part[:n_out], out_cand[:n_out], out_uin[:n_out], out_vin[:n_out]
-
-
-@_jit
 def _expand_block_impl(roots, n_events, node_cap, dc, dw, t, u, v, keys, banded, m):
     """Grow one root block to completion entirely inside the JIT.
 
@@ -374,65 +298,16 @@ def _expand_block_impl(roots, n_events, node_cap, dc, dw, t, u, v, keys, banded,
 class NativeExtensionKernel(NumpyExtensionKernel):
     """JIT kernel over the banded CSR, with a JIT whole-block path.
 
-    Inherits the numpy kernel's triple materialization (it consumes
-    :meth:`_vector_candidates`, which this class reroutes through the
-    JIT sweep) and the base class's event-major single-arrival path, so
-    the online push shape is shared untouched; it overrides the numpy
-    kernel's array-level block lane with one JIT call per root block.
-    While tail appends are pending the storage cannot serve the banded
-    arrays and every entry point falls back to the generic path,
-    counted as a runtime demotion.
+    Inherits the base class's ``extend_frontier`` traversals (the
+    online engine's single-arrival path and the Partial path) untouched;
+    it overrides the numpy kernel's array-level block lane with one JIT
+    call per root block.  While tail appends are pending the storage
+    cannot serve the banded arrays, ``block_ready()`` is False, and the
+    driver takes the generic Partial path, counted as a runtime
+    demotion.
     """
 
     kernel_name = "native"
-
-    # ------------------------------------------------------------------
-    # extend_frontier contract (arbitrary partial records)
-    # ------------------------------------------------------------------
-    def _vector_candidates(self, partials: Sequence, lo: int, hi: int):
-        arrays = getattr(self._storage, "extension_arrays", lambda: None)()
-        if arrays is None:
-            count_kernel_demotion("native", "generic")
-            return None
-        n_p = len(partials)
-        if n_p == 0:
-            return ()
-        keys = arrays["keys"]
-        if not len(keys):
-            return ()
-        pad = max(len(p.nodes) for p in partials)
-        nodes_pad = np.zeros((n_p, pad), dtype=np.int64)
-        n_nodes = np.empty(n_p, dtype=np.int64)
-        t_root = np.empty(n_p, dtype=np.float64)
-        t_last = np.empty(n_p, dtype=np.float64)
-        for i, p in enumerate(partials):
-            row = p.nodes
-            k = len(row)
-            nodes_pad[i, :k] = row
-            n_nodes[i] = k
-            t_root[i] = p.t_root
-            t_last[i] = p.t_last
-        plan = self._plan
-        cand_part, cand, u_in, v_in = _sweep(
-            nodes_pad,
-            n_nodes,
-            t_root,
-            t_last,
-            lo,
-            hi,
-            plan.node_cap,
-            plan.delta_c,
-            plan.delta_w,
-            arrays["t"],
-            arrays["u"],
-            arrays["v"],
-            keys,
-            arrays["banded"],
-            arrays["m"],
-        )
-        if not len(cand):
-            return ()
-        return cand, cand_part, arrays["u"][cand], arrays["v"][cand], u_in, v_in
 
     # ------------------------------------------------------------------
     # block path (the numpy kernel's block_ready(), one JIT call per block)
@@ -477,25 +352,6 @@ def warm_up() -> None:
     banded = np.array([0, 2, 3, 5], dtype=np.int64)
     roots = np.array([0], dtype=np.int64)
     _expand_block_impl(roots, 2, 3, np.inf, np.inf, t, u, v, keys, banded, 2)
-    nodes_pad = np.array([[0, 1]], dtype=np.int64)
-    one = np.ones(1, dtype=np.int64)
-    _sweep(
-        nodes_pad,
-        one * 2,
-        t[:1],
-        t[:1],
-        0,
-        2,
-        3,
-        np.inf,
-        np.inf,
-        t,
-        u,
-        v,
-        keys,
-        banded,
-        2,
-    )
 
 
 if available():

@@ -170,17 +170,32 @@ def error_response(request_id: Any, code: str, message: str, **extra: Any) -> di
     return {"id": request_id, "ok": False, "error": error}
 
 
+def _finite_number(value: Any) -> float | None:
+    """``value`` as a float if it is a finite JSON number, else ``None``.
+
+    Nothing is coerced: strings, booleans and ``null`` are not numbers,
+    and a JSON ``NaN``/``Infinity`` literal (or an int too large for a
+    float) is not finite.
+    """
+    if type(value) not in (int, float):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _positive_float(params: Mapping, key: str) -> float | None:
     value = params.get(key)
     if value is None:
         return None
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ProtocolError("bad_request", f"{key} must be a number") from None
-    if value <= 0:
-        raise ProtocolError("bad_request", f"{key} must be positive")
-    return value
+    number = _finite_number(value)
+    if number is None or number <= 0:
+        raise ProtocolError(
+            "bad_request", f"{key} must be a finite positive number, got {value!r}"
+        )
+    return number
 
 
 def constraint_fields(params: Mapping) -> tuple[float | None, float | None]:
@@ -188,7 +203,9 @@ def constraint_fields(params: Mapping) -> tuple[float | None, float | None]:
 
     An unconstrained enumeration is unbounded work — a shared server
     refuses it at validation time rather than discovering it the hard
-    way on a worker.
+    way on a worker.  A ``NaN`` or infinite bound is unconstrained too,
+    so each given bound must be a finite JSON number above zero (the
+    no-coercion rule of :func:`push_event`).
     """
     delta_c = _positive_float(params, "delta_c")
     delta_w = _positive_float(params, "delta_w")
@@ -212,12 +229,9 @@ def push_event(raw: Any, accepted: int) -> tuple[int, int, float]:
     """
     if isinstance(raw, (list, tuple)) and len(raw) == 3:
         u, v, t = raw
-        if type(u) is int and type(v) is int and type(t) in (int, float):
-            try:
-                t = float(t)
-            except OverflowError:
-                t = math.inf
-            if math.isfinite(t):
+        if type(u) is int and type(v) is int:
+            t = _finite_number(t)
+            if t is not None:
                 return u, v, t
     raise ProtocolError(
         "bad_request",

@@ -231,7 +231,15 @@ class TestLaneMechanics:
         assert run_plan_blocks(lane, graph) is None
         reference = list(run_plan(generic, graph))
         assert reference  # the tail events do complete instances
-        assert list(run_plan(lane, graph)) == reference
+        registry = obs.enable()
+        try:
+            assert list(run_plan(lane, graph)) == reference
+        finally:
+            obs.disable()
+        # The refusal is the one runtime demotion, counted once per run.
+        demotions = {k: v for k, v in registry.counters.items() if "demote" in k}
+        assert demotions == {"engine.kernel.demote{from=numpy,to=generic}": 1}
+        assert registry.counters["engine.run_plan.calls{kernel=numpy}"] == 1
         want = run_census(graph, 3, constraints, plan=generic)
         got = run_census(graph, 3, constraints)
         _same_counter(got.code_counts, want.code_counts)

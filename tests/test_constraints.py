@@ -16,6 +16,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TimingConstraints(delta_w=-5)
 
+    @pytest.mark.parametrize("field", ["delta_c", "delta_w"])
+    def test_rejects_nan_bounds(self, field):
+        # NaN fails every comparison, so every kernel would read it as an
+        # unbounded constraint.
+        with pytest.raises(ValueError):
+            TimingConstraints(**{field: float("nan")})
+
     def test_only_c_factory(self):
         c = TimingConstraints.only_c(10)
         assert c.delta_c == 10

@@ -21,8 +21,9 @@ from __future__ import annotations
 import math
 import pickle
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from repro.core.temporal_graph import TemporalGraph
 from repro.engine import (
     ExecutionPlan,
     GenericExtensionKernel,
+    NumpyExtensionKernel,
     Partial,
     clear_plan_cache,
     compile_plan,
@@ -548,6 +550,35 @@ class TestConsumerParity:
         assert rooted == [inst for inst in everything if inst[0] in (1, 3)]
         capped = list(run_plan(plan, graph, max_instances=3))
         assert capped == everything[:3]
+
+    @pytest.mark.parametrize("lane", ["block", "partial"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_max_instances_is_an_exact_cap(self, backend, lane):
+        """``max_instances=k`` yields exactly the first ``min(k, total)``
+        instances on every driver loop — single-event, block lane and
+        Partial path — ``0`` yields none, and a negative cap is refused."""
+        graph = TemporalGraph(
+            [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 4.0), (3, 0, 5.0)],
+            backend=backend,
+        )
+        constraints = TimingConstraints(delta_c=10.0)
+        with ExitStack() as stack:
+            if lane == "partial":
+                # The lane refuses (as on a tail-pending graph); the list
+                # backend's generic kernel has no lane to refuse.
+                stack.enter_context(
+                    mock.patch.object(NumpyExtensionKernel, "block_ready", lambda self: False)
+                )
+            for n_events in (1, 2, 3):
+                everything = list(enumerate_instances(graph, n_events, constraints))
+                assert len(everything) >= 3
+                for cap in range(len(everything) + 2):
+                    capped = list(
+                        enumerate_instances(graph, n_events, constraints, max_instances=cap)
+                    )
+                    assert capped == everything[:cap]
+                with pytest.raises(ValueError, match="max_instances"):
+                    list(enumerate_instances(graph, n_events, constraints, max_instances=-1))
 
     def test_explicit_plan_survives_the_parallel_path(self, monkeypatch):
         # A caller-supplied plan (forced kernel, precompiled reuse) must

@@ -127,6 +127,18 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             constraint_fields({"delta_w": "wide"})
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["nan", "Infinity", "3000", float("nan"), float("inf"), True, 10**400, 0, []],
+    )
+    def test_constraints_require_a_finite_positive_json_number(self, bad):
+        """Nothing is coerced: a NaN or infinite bound would reach a
+        worker as the unconstrained census this check exists to refuse."""
+        for params in ({"delta_c": bad, "delta_w": 10}, {"delta_c": 2, "delta_w": bad}):
+            with pytest.raises(ProtocolError) as err:
+                constraint_fields(params)
+            assert err.value.code == "bad_request"
+
 
 # ----------------------------------------------------------------------
 # graph sources
@@ -289,6 +301,18 @@ class TestPushStream:
         state = client.push([(2, 3, 2.0)], stream=name)
         assert state["pushed"] == 2 and state["now"] == 2.0
         client.stream_close(name)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "Infinity", "3000", True])
+    def test_non_finite_or_string_bounds_are_bad_requests(self, client, bad):
+        """A JSON ``NaN``/``Infinity`` literal, a string or a bool bound
+        is refused on the wire, for compute ops and for a stream's first
+        push alike, instead of running as an unconstrained census."""
+        reply = client.request("count", n_events=2, delta_c=bad)
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "bad_request"
+        reply = client.request("push", stream="nan-bound", events=[], window=50.0, delta_w=bad)
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "bad_request"
 
     def test_push_negative_time_is_bad_stream(self, client):
         name = "negative"

@@ -1,4 +1,5 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for three choices the reproduction's cost or accuracy
+rests on:
 
 * sampling accuracy/speed trade-off (root sampling vs exact counting),
 * the cost of the ΔW bound relative to ΔC (window pruning effectiveness),

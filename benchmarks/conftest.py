@@ -2,9 +2,12 @@
 
 Every paper table/figure has a ``bench_<id>.py`` file whose benchmark runs
 the experiment once (``rounds=1`` — these are end-to-end reproductions, not
-micro-benchmarks), prints the reproduced artifact, and asserts the shape
-claims recorded in DESIGN.md §5.  Kernel benchmarks (enumeration, census,
-streaming, sampling) use normal multi-round timing on smaller inputs.
+micro-benchmarks), prints the reproduced artifact, and asserts the paper's
+shape claims for it: signs of change, orderings and dominant types, the
+findings the synthetic dataset analogues are built to reproduce (their
+absolute counts differ from the paper's real datasets).  Kernel
+benchmarks (enumeration, census, streaming, sampling) use normal
+multi-round timing on smaller inputs.
 
 Set ``REPRO_BENCH_SCALE`` to trade fidelity for speed (default 0.5; the
 paper-shape assertions are calibrated to hold at ≥ 0.5).

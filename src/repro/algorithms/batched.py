@@ -1,28 +1,27 @@
 """Batched census folding: the per-instance summaries as array ops.
 
 The serial census fold (:func:`repro.algorithms.counting.run_census`)
-spends its time in two interpreted per-instance loops — the
-first-appearance relabel of :func:`~repro.core.notation.canonical_code`
-and the pairwise :func:`~repro.core.eventpairs.classify_pair` walk.
-This module performs both over whole **instance blocks** — the
+spends its time relabeling each instance's events to its canonical
+motif code (:func:`~repro.core.notation.canonical_code`).  This module
+performs that relabel over whole **instance blocks** — the
 ``(n, n_events)`` arrays streamed by
 :func:`repro.engine.driver.run_plan_blocks` — and folds the results into
 a :class:`~repro.algorithms.counting.MotifCensus` bit-identically to the
-serial pass; :func:`count_block_codes` and :func:`count_block_pairs`
-are the same fold cut down to ``count_motifs`` / ``count_event_pairs``.
+serial pass.
 
-The packing trick: a block's rows collapse to one int64 key each —
-decimal-packed relabel digits (the motif code) times ``7**(k-1)`` plus
-the base-7 packed pair-type sequence — and one ``np.unique`` with a
-stable first-appearance sort reproduces the serial counters exactly,
-*including key order*: two instances share a composite key iff they
-share both code and pair sequence, and the first instance of each
-distinct key lands in the counters at the same rank the serial loop
-would have inserted it.
+Every block row collapses to one int64 key, its decimal-packed code,
+and one ``np.unique`` with a stable first-appearance sort reproduces the
+serial counters exactly, *including key order*.  The pair-type
+counters need no per-instance work: an instance's event-pair sequence
+is a function of its code
+(:func:`~repro.core.eventpairs.pair_sequence_of_code`), so each distinct
+code adds its sequence once, with its count.  The first instance to
+show a given pair type or pair sequence is the first instance of some
+code containing it, so walking codes in first-appearance order inserts
+those keys at the rank the serial loop would too.
 
-The key fits 64 bits only while ``10**(2k) * 7**(k-1)`` does, which
-bounds the batched fold at :data:`MAX_BATCH_EVENTS` events; larger
-motifs stay on the tuple path.
+Motifs larger than :data:`MAX_BATCH_EVENTS` events stay on the tuple
+path.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core._optional import import_numpy
-from repro.core.eventpairs import ALL_PAIR_TYPES
+from repro.core.eventpairs import pair_sequence_of_code
 from repro.core.notation import MAX_NOTATION_NODES
 
 np = import_numpy()
@@ -38,13 +37,10 @@ np = import_numpy()
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algorithms.counting import MotifCensus
 
-#: Pair-type by packed id: the six paper types in presentation order,
-#: then disjoint (``None``) — the order :func:`classify_block_pairs`
-#: assigns ids in.
-PAIR_BY_ID = ALL_PAIR_TYPES + (None,)
-
-#: Largest motif size the packed composite key can hold in an int64
-#: (``10**(2k) * 7**(k-1) < 2**63`` holds through ``k = 6``).
+#: Largest motif size the batched fold takes.  A ``2k``-digit code key
+#: would fit an int64 through ``k = 9`` (``10**18 < 2**63``); the bound
+#: stays at six events, the largest census the experiments and the
+#: service run.
 MAX_BATCH_EVENTS = 6
 
 
@@ -93,61 +89,6 @@ def encode_block_codes(us, vs):
     return keys
 
 
-def classify_block_pairs(u1, v1, u2, v2):
-    """Packed pair-type ids of consecutive event pairs, elementwise.
-
-    Ids index :data:`PAIR_BY_ID` (R, P, I, O, C, W, disjoint).  The
-    priority — two-node-sharing cases before one-node cases — is the
-    serial :func:`~repro.core.eventpairs.classify_pair` order, realized
-    by ``np.select``'s first-match semantics.
-    """
-    r = (u1 == u2) & (v1 == v2)
-    p = (u1 == v2) & (v1 == u2)
-    i = v1 == v2
-    o = u1 == u2
-    c = v1 == u2
-    w = u1 == v2
-    return np.select([r, p, i, o, c, w], [0, 1, 2, 3, 4, 5], default=6).astype(np.int8)
-
-
-def block_pair_ids(us, vs):
-    """``(n, k - 1)`` packed pair-type ids of each row's consecutive pairs."""
-    return classify_block_pairs(us[:, :-1], vs[:, :-1], us[:, 1:], vs[:, 1:])
-
-
-def tally_first_appearance(counter, keys, decode) -> None:
-    """Add each distinct key's count to ``counter`` in first-appearance order.
-
-    ``decode`` maps a packed key (a Python int) to the counter key; the
-    stable argsort of first indices inserts new keys at the rank a
-    serial ``counter[key] += 1`` loop over ``keys`` would have.
-    """
-    uniq, first_idx, counts = np.unique(keys, return_index=True, return_counts=True)
-    for rank in np.argsort(first_idx, kind="stable").tolist():
-        counter[decode(int(uniq[rank]))] += int(counts[rank])
-
-
-def count_block_codes(counter, blocks, u_col, v_col) -> None:
-    """Fold instance blocks into per-code counts (``count_motifs``)."""
-    for block in blocks:
-        n, k = block.shape
-        if n:
-            keys = encode_block_codes(u_col[block], v_col[block])
-            tally_first_appearance(counter, keys, lambda key: str(key).zfill(2 * k))
-
-
-def count_block_pairs(counter, blocks, u_col, v_col) -> None:
-    """Fold instance blocks into event-pair counts (``count_event_pairs``).
-
-    Rows flatten instance-major, so first appearance follows the serial
-    walk over each instance's consecutive pairs.
-    """
-    for block in blocks:
-        if len(block):
-            ids = block_pair_ids(u_col[block], v_col[block]).ravel()
-            tally_first_appearance(counter, ids, PAIR_BY_ID.__getitem__)
-
-
 def fold_census_blocks(
     census: "MotifCensus",
     blocks: Iterable,
@@ -172,48 +113,27 @@ def fold_census_blocks(
     code_counts = census.code_counts
     pair_counts = census.pair_counts
     pair_sequence_counts = census.pair_sequence_counts
-    code_str_cache: dict[int, str] = {}
-    pair_seq_cache: dict[int, tuple] = {}
+    collect = collect_timespans or collect_positions
     total = 0
     for block in blocks:
         n, k = block.shape
         if n == 0:
             continue
         total += n
-        us = u_col[block]
-        vs = v_col[block]
-        code_keys = encode_block_codes(us, vs)
-        ids = block_pair_ids(us, vs)
-        pair_keys = ids[:, 0].astype(np.int64)
-        for j in range(1, k - 1):
-            pair_keys *= 7
-            pair_keys += ids[:, j]
-        pair_base = 7 ** (k - 1)
-        composite = code_keys * pair_base + pair_keys
-        uniq, first_idx, inverse, counts = np.unique(
-            composite, return_index=True, return_inverse=True, return_counts=True
-        )
-        order = np.argsort(first_idx, kind="stable")
-
-        codes_by_uniq = [""] * len(uniq)
-        for rank in order.tolist():
-            key = int(uniq[rank])
-            count = int(counts[rank])
-            code_key, pair_key = divmod(key, pair_base)
-            code = code_str_cache.get(code_key)
-            if code is None:
-                code = code_str_cache[code_key] = str(code_key).zfill(2 * k)
-            codes_by_uniq[rank] = code
-            pair_seq = pair_seq_cache.get(pair_key)
-            if pair_seq is None:
-                ids_rev = []
-                pk = pair_key
-                for _ in range(k - 1):
-                    pk, pid = divmod(pk, 7)
-                    ids_rev.append(pid)
-                pair_seq = pair_seq_cache[pair_key] = tuple(
-                    PAIR_BY_ID[pid] for pid in reversed(ids_rev)
-                )
+        keys = encode_block_codes(u_col[block], v_col[block])
+        if collect:
+            uniq, first_idx, inverse, counts = np.unique(
+                keys, return_index=True, return_inverse=True, return_counts=True
+            )
+        else:
+            uniq, first_idx, counts = np.unique(keys, return_index=True, return_counts=True)
+        uniq_keys = uniq.tolist()
+        uniq_counts = counts.tolist()
+        codes_by_uniq = [""] * len(uniq_keys)
+        for rank in np.argsort(first_idx, kind="stable").tolist():
+            count = uniq_counts[rank]
+            code = codes_by_uniq[rank] = str(uniq_keys[rank]).zfill(2 * k)
+            pair_seq = pair_sequence_of_code(code)
             code_counts[code] += count
             for ptype in pair_seq:
                 pair_counts[ptype] += count

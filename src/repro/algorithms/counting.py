@@ -1,9 +1,22 @@
-"""Counting APIs: per-code counters and the one-pass motif census.
+"""Counting APIs: the one-pass motif census and its projections.
 
 Most experiments in the paper need several summaries of the same instance
 set (counts per motif code, event-pair counts, pair-sequence matrices,
-timespans, intermediate-event positions).  :class:`MotifCensus` collects
-all of them in a single enumeration pass so each experiment costs one scan.
+timespans, intermediate-event positions).  :func:`run_census` collects
+all of them into a :class:`MotifCensus` in a single enumeration pass, so
+each experiment costs one scan.  It is the one fold behind every counting
+entry point: :func:`count_motifs`, :func:`count_event_pairs` and
+:func:`total_instances` each return one field of its census.
+
+The fold keys every instance on its canonical motif code alone.  An
+instance's event-pair sequence is a function of its code
+(:func:`~repro.core.eventpairs.pair_sequence_of_code`), so pair types are
+read once per distinct code, never classified per instance.  A census
+runs on one of three paths, bit-identical to each other (counter key
+order included): the sharded engine (:mod:`repro.parallel`) for several
+workers or out-of-core storage, the batched block fold
+(:mod:`repro.algorithms.batched`) when the kernel streams instance
+blocks, and otherwise a loop over the enumerated instance tuples.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 from repro.algorithms import batched
 from repro.algorithms.enumeration import Instance, enumerate_instances
 from repro.core.constraints import TimingConstraints
-from repro.core.eventpairs import CW_GROUP, RPIO_GROUP, classify_pair
+from repro.core.eventpairs import CW_GROUP, RPIO_GROUP, pair_sequence_of_code
 from repro.core.notation import canonical_code
 from repro.core.temporal_graph import TemporalGraph
 from repro.engine import ExecutionPlan, compile_plan, run_plan_blocks
@@ -64,27 +77,6 @@ def _normalize_roots(roots: Iterable[int] | None) -> tuple[list[int] | None, boo
     return root_list, all(a <= b for a, b in zip(root_list, root_list[1:]))
 
 
-def _block_lane(graph, n_events, constraints, max_nodes, predicate, roots, plan):
-    """Resolve a serial counting call's plan and, if it can, its block lane.
-
-    Returns ``(plan, lane)``: the plan to run (compiled here unless one
-    was given, so a fallback never compiles twice) and either
-    ``(blocks, arrays)`` — the :func:`run_plan_blocks` stream plus the
-    storage's event columns — or ``None`` when the call must take the
-    tuple path (no NumPy, a motif size the packed fold cannot hold, no
-    extension arrays, or a plan the block lane refuses).
-    """
-    if not (batched.available() and 2 <= n_events <= batched.MAX_BATCH_EVENTS):
-        return plan, None
-    if plan is None:
-        plan = compile_plan(n_events, constraints, predicate, graph.storage, max_nodes=max_nodes)
-    arrays = getattr(graph.storage, "extension_arrays", lambda: None)()
-    if arrays is None:
-        return plan, None
-    blocks = run_plan_blocks(plan, graph, roots=roots)
-    return plan, None if blocks is None else (blocks, arrays)
-
-
 def count_motifs(
     graph: TemporalGraph,
     n_events: int,
@@ -97,7 +89,7 @@ def count_motifs(
     roots: Iterable[int] | None = None,
     plan: ExecutionPlan | None = None,
 ) -> Counter:
-    """Count motif instances per canonical code.
+    """Count motif instances per canonical code (the census's ``code_counts``).
 
     Parameters
     ----------
@@ -121,45 +113,25 @@ def count_motifs(
         Precompiled :class:`~repro.engine.plan.ExecutionPlan` (advanced;
         see :func:`repro.engine.compile_plan`).
     """
-    roots, roots_sorted = _normalize_roots(roots)
-    if _route_sharded(graph, jobs, roots_sorted):
-        from repro.parallel import parallel_count_motifs
-
-        return parallel_count_motifs(
-            graph,
-            n_events,
-            constraints,
-            jobs=jobs,
-            max_nodes=max_nodes,
-            node_counts=node_counts,
-            predicate=predicate,
-            roots=roots,
-            plan=plan,
-        )
-    wanted = set(node_counts) if node_counts is not None else None
-    counts: Counter = Counter()
-    plan, lane = _block_lane(graph, n_events, constraints, max_nodes, predicate, roots, plan)
-    if lane is not None:
-        blocks, arrays = lane
-        batched.count_block_codes(counts, blocks, arrays["u"], arrays["v"])
-        if wanted is not None:
-            counts = Counter({code: n for code, n in counts.items() if len(set(code)) in wanted})
-        return counts
-    for inst in enumerate_instances(
+    census = run_census(
         graph,
         n_events,
         constraints,
         max_nodes=max_nodes,
         predicate=predicate,
+        jobs=jobs,
         roots=roots,
-        jobs=1,
         plan=plan,
-    ):
-        code = canonical_code([graph.events[i].edge for i in inst])
-        if wanted is not None and len(set(code)) not in wanted:
-            continue
-        counts[code] += 1
-    return counts
+    )
+    return _with_node_counts(census.code_counts, node_counts)
+
+
+def _with_node_counts(counts: Counter, node_counts: Iterable[int] | None) -> Counter:
+    """``counts`` restricted to codes whose distinct-node count is wanted."""
+    if node_counts is None:
+        return counts
+    wanted = set(node_counts)
+    return Counter({code: n for code, n in counts.items() if len(set(code)) in wanted})
 
 
 def count_event_pairs(
@@ -175,44 +147,21 @@ def count_event_pairs(
 ) -> Counter:
     """Count event-pair types across all consecutive pairs of all instances.
 
-    This is the quantity of Table 5: each ``m``-event instance contributes
-    ``m − 1`` pair observations.  Disjoint consecutive pairs (possible only
-    in 4-node motifs) are counted under ``None``.
+    This is the quantity of Table 5 (the census's ``pair_counts``): each
+    ``m``-event instance contributes ``m − 1`` pair observations.
+    Disjoint consecutive pairs (possible only in 4-node motifs) are
+    counted under ``None``.
     """
-    roots, roots_sorted = _normalize_roots(roots)
-    if _route_sharded(graph, jobs, roots_sorted):
-        from repro.parallel import parallel_count_event_pairs
-
-        return parallel_count_event_pairs(
-            graph,
-            n_events,
-            constraints,
-            jobs=jobs,
-            max_nodes=max_nodes,
-            predicate=predicate,
-            roots=roots,
-            plan=plan,
-        )
-    counts: Counter = Counter()
-    plan, lane = _block_lane(graph, n_events, constraints, max_nodes, predicate, roots, plan)
-    if lane is not None:
-        blocks, arrays = lane
-        batched.count_block_pairs(counts, blocks, arrays["u"], arrays["v"])
-        return counts
-    for inst in enumerate_instances(
+    return run_census(
         graph,
         n_events,
         constraints,
         max_nodes=max_nodes,
         predicate=predicate,
+        jobs=jobs,
         roots=roots,
-        jobs=1,
         plan=plan,
-    ):
-        edges = [graph.events[i].edge for i in inst]
-        for first, second in zip(edges, edges[1:]):
-            counts[classify_pair(first, second)] += 1
-    return counts
+    ).pair_counts
 
 
 @dataclass
@@ -349,25 +298,30 @@ def run_census(
 
     # Block lane: when the engine can stream instance *blocks* (a kernel
     # with ``expand_block`` — the numpy kernel — and banded arrays
-    # ready) and the motif size fits the packed fold, the whole census
-    # folds as array ops — bit-identical to the serial loop below,
+    # ready) and the motif size fits the batched fold, the whole census
+    # folds as array ops — bit-identical to the tuple loop below,
     # counter key order included.
-    plan, lane = _block_lane(graph, n_events, constraints, max_nodes, predicate, roots, plan)
-    if lane is not None:
-        blocks, arrays = lane
-        census.total = batched.fold_census_blocks(
-            census,
-            blocks,
-            arrays["t"],
-            arrays["u"],
-            arrays["v"],
-            collect_timespans=collect_timespans,
-            collect_positions=collect_positions,
-            span_filter=span_filter,
-            pos_filter=pos_filter,
-            sample_cap=sample_cap,
-        )
-        return census
+    if batched.available() and 2 <= n_events <= batched.MAX_BATCH_EVENTS:
+        if plan is None:  # compiled once here, so the tuple path reuses it
+            plan = compile_plan(
+                n_events, constraints, predicate, graph.storage, max_nodes=max_nodes
+            )
+        arrays = getattr(graph.storage, "extension_arrays", lambda: None)()
+        blocks = None if arrays is None else run_plan_blocks(plan, graph, roots=roots)
+        if blocks is not None:
+            census.total = batched.fold_census_blocks(
+                census,
+                blocks,
+                arrays["t"],
+                arrays["u"],
+                arrays["v"],
+                collect_timespans=collect_timespans,
+                collect_positions=collect_positions,
+                span_filter=span_filter,
+                pos_filter=pos_filter,
+                sample_cap=sample_cap,
+            )
+            return census
 
     times = graph.times
     # Resolve each event's (u, v) pair once up front: the fold reads a
@@ -392,7 +346,7 @@ def run_census(
         code = canonical_code(edges)
         code_counts[code] += 1
         total += 1
-        pair_seq = tuple(map(classify_pair, edges, edges[1:]))
+        pair_seq = pair_sequence_of_code(code)
         for ptype in pair_seq:
             pair_counts[ptype] += 1
         pair_sequence_counts[pair_seq] += 1
@@ -428,43 +382,17 @@ def total_instances(
     roots: Iterable[int] | None = None,
     plan: ExecutionPlan | None = None,
 ) -> int:
-    """Total number of instances, without per-code bookkeeping."""
-    roots, roots_sorted = _normalize_roots(roots)
-    if _route_sharded(graph, jobs, roots_sorted):
-        from repro.parallel import parallel_total_instances
-
-        return parallel_total_instances(
-            graph,
-            n_events,
-            constraints,
-            jobs=jobs,
-            max_nodes=max_nodes,
-            predicate=predicate,
-            roots=roots,
-            plan=plan,
-        )
-    if plan is None and n_events >= 2:
-        plan = compile_plan(
-            n_events, constraints, predicate, graph.storage, max_nodes=max_nodes
-        )
-    if plan is not None:
-        # Block lane: count rows without materializing tuples.
-        blocks = run_plan_blocks(plan, graph, roots=roots)
-        if blocks is not None:
-            return sum(int(block.shape[0]) for block in blocks)
-    return sum(
-        1
-        for _ in enumerate_instances(
-            graph,
-            n_events,
-            constraints,
-            max_nodes=max_nodes,
-            predicate=predicate,
-            roots=roots,
-            jobs=1,
-            plan=plan,
-        )
-    )
+    """Total number of instances (the census's ``total``)."""
+    return run_census(
+        graph,
+        n_events,
+        constraints,
+        max_nodes=max_nodes,
+        predicate=predicate,
+        jobs=jobs,
+        roots=roots,
+        plan=plan,
+    ).total
 
 
 def merge_counters(counters: Iterable[Counter]) -> Counter:

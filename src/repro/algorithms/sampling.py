@@ -61,11 +61,12 @@ def estimate_counts_root_sampling(
     if not 0 < q <= 1:
         raise ValueError("q must be in (0, 1]")
     rng = rng if rng is not None else np.random.default_rng()
-    m = len(graph.events)
+    # len(graph), not len(graph.events): the events view would box every
+    # event of an array backend (and load every out-of-core partition).
+    m = len(graph)
     if m == 0:
         return {}
-    mask = rng.random(m) < q
-    roots = [i for i in range(m) if mask[i]]
+    roots = np.flatnonzero(rng.random(m) < q).tolist()
     raw = count_motifs(
         graph, n_events, constraints, max_nodes=max_nodes, roots=roots, jobs=jobs
     )
@@ -99,7 +100,7 @@ def estimate_counts_window_sampling(
     if window <= 0:
         raise ValueError("window must be positive")
     rng = rng if rng is not None else np.random.default_rng()
-    if not graph.events:
+    if not len(graph):
         return {}
     t0 = graph.times[0]
     n_windows = int(math.floor((graph.times[-1] - t0) / window)) + 1

@@ -20,6 +20,7 @@ is only a broad description and some consecutive events may share no node
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.core.notation import canonical_code, parse_code
@@ -101,11 +102,15 @@ def classify_pair(first: tuple[int, int], second: tuple[int, int]) -> PairType |
     return None
 
 
+@lru_cache(maxsize=4096)
 def pair_sequence_of_code(code: str) -> tuple[PairType | None, ...]:
     """The ``m − 1`` event-pair types of a motif code, in order.
 
     Entries are ``None`` where consecutive events share no node (only
-    possible in ≥4-node motifs).
+    possible in ≥4-node motifs).  Pair types survive any relabeling of
+    the nodes, so this is also the sequence of every instance of the
+    motif: the census folds read it here, once per distinct code
+    (memoized), instead of classifying each instance's pairs.
     """
     pairs = parse_code(code)
     return tuple(

@@ -1,7 +1,10 @@
 """Event-driven synthetic temporal network generator (the activity model).
 
-The generator substitutes for the paper's nine real datasets (see DESIGN.md
-§3).  It is a discrete-event simulation with two layers:
+The generator substitutes for the paper's nine real datasets, which cannot
+be redistributed or fetched offline; it plants the mechanisms the paper's
+analysis keys on, so the experiments reproduce the paper's shapes rather
+than its absolute counts.  It is a discrete-event simulation with two
+layers:
 
 * a **background layer**: events arrive as a Poisson process over the
   configured timespan; sources are drawn from a Zipf-like activity

@@ -78,7 +78,7 @@ import repro.obs as _obs
 from repro.algorithms.counting import MotifCensus
 from repro.algorithms.enumeration import Instance, enumerate_instances
 from repro.core.constraints import TimingConstraints
-from repro.core.eventpairs import classify_pair
+from repro.core.eventpairs import pair_sequence_of_code
 from repro.core.events import Event
 from repro.core.notation import canonical_code
 from repro.core.temporal_graph import TemporalGraph
@@ -641,9 +641,7 @@ class MultiViewCensus:
         fold = self._fold
         for seq, edges, t_root, nodes in completions:
             code = canonical_code(edges)
-            pair_seq = tuple(
-                classify_pair(edges[j], edges[j + 1]) for j in range(len(edges) - 1)
-            )
+            pair_seq = pair_sequence_of_code(code)
             entry = _LedgerEntry(t_root, self._seq, code, pair_seq, nodes, t_a, seq)
             self._seq += 1
             self._discovered += 1

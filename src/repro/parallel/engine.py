@@ -35,7 +35,7 @@ from repro.core.temporal_graph import TemporalGraph
 from repro.engine import ExecutionPlan, compile_plan
 from repro.engine import is_shard_safe as is_shard_safe  # re-export (one copy)
 from repro.parallel.executor import get_executor, resolve_jobs
-from repro.parallel.merge import merge_censuses, merge_counts, merge_instances
+from repro.parallel.merge import merge_censuses, merge_instances
 from repro.parallel.shards import Shard, plan_root_shards, plan_shards, shard_graph
 from repro.storage import get_backend
 
@@ -139,28 +139,6 @@ def _run_shard_inner(task: _ShardTask):
             task.constraints,
             **common,
             **task.options,
-        )
-    if task.kind == "counts":
-        return counting.count_motifs(
-            graph,
-            task.n_events,
-            task.constraints,
-            **common,
-            **task.options,
-        )
-    if task.kind == "pairs":
-        return counting.count_event_pairs(
-            graph,
-            task.n_events,
-            task.constraints,
-            **common,
-        )
-    if task.kind == "total":
-        return counting.total_instances(
-            graph,
-            task.n_events,
-            task.constraints,
-            **common,
         )
     if task.kind == "instances":
         common.pop("jobs")  # enumerate_instances parallelizes via this engine
@@ -285,20 +263,20 @@ def parallel_count_motifs(
     roots it is handed, so a sampled census shards exactly like a full
     one.
     """
-    options = {"node_counts": set(node_counts) if node_counts is not None else None}
-    _shards, results = _execute(
-        "counts",
+    from repro.algorithms.counting import _with_node_counts
+
+    census = parallel_run_census(
         graph,
         n_events,
         constraints,
         jobs=jobs,
         max_nodes=max_nodes,
         predicate=predicate,
+        sample_cap=0,
         roots=roots,
         plan=plan,
-        options=options,
     )
-    return merge_counts(results)
+    return _with_node_counts(census.code_counts, node_counts)
 
 
 def parallel_count_event_pairs(
@@ -313,18 +291,17 @@ def parallel_count_event_pairs(
     plan: ExecutionPlan | None = None,
 ) -> Counter:
     """Sharded :func:`repro.algorithms.counting.count_event_pairs`."""
-    _shards, results = _execute(
-        "pairs",
+    return parallel_run_census(
         graph,
         n_events,
         constraints,
         jobs=jobs,
         max_nodes=max_nodes,
         predicate=predicate,
+        sample_cap=0,
         roots=roots,
         plan=plan,
-    )
-    return merge_counts(results)
+    ).pair_counts
 
 
 def parallel_total_instances(
@@ -339,18 +316,17 @@ def parallel_total_instances(
     plan: ExecutionPlan | None = None,
 ) -> int:
     """Sharded :func:`repro.algorithms.counting.total_instances`."""
-    _shards, results = _execute(
-        "total",
+    return parallel_run_census(
         graph,
         n_events,
         constraints,
         jobs=jobs,
         max_nodes=max_nodes,
         predicate=predicate,
+        sample_cap=0,
         roots=roots,
         plan=plan,
-    )
-    return sum(results)
+    ).total
 
 
 def parallel_run_census(

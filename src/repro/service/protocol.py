@@ -13,9 +13,10 @@ verbatim on the response so clients may pipeline)::
 
     {"id": 7, "op": "census", "n_events": 3, "delta_w": 3000.0}
 
-Compute ops (dispatched to the worker pool; all accept ``t_lo``/``t_hi``
-to restrict to a closed time window, ``max_nodes``, and per-request
-``jobs`` — worker processes *inside* the worker handling the request):
+Compute ops (dispatched to the worker pool; all accept finite-number
+``t_lo``/``t_hi`` to restrict to a closed time window, ``max_nodes``, and
+per-request ``jobs`` — worker processes *inside* the worker handling the
+request):
 
 * ``census``   — full :func:`~repro.algorithms.counting.run_census`:
   per-code counts, pair counts, pair-group totals.
@@ -25,7 +26,8 @@ to restrict to a closed time window, ``max_nodes``, and per-request
   point-lookup shape of a dashboard query.
 * ``estimate`` — root-sampling approximate counts
   (:func:`~repro.algorithms.sampling.estimate_counts_root_sampling`)
-  with per-code standard errors; ``q`` in (0, 1], optional ``seed``.
+  with per-code standard errors; ``q`` a number in (0, 1], optional
+  ``seed`` a non-negative integer.
   Requires NumPy; also what overloaded ``census``/``count``/``window``
   requests degrade to under the ``degrade`` overflow policy.
 * ``sleep``    — hold a worker for ``seconds`` (diagnostic: lets tests

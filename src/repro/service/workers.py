@@ -39,7 +39,7 @@ import traceback
 from concurrent.futures import Future
 from typing import Any, Mapping
 
-from repro.service.protocol import ProtocolError, constraint_fields
+from repro.service.protocol import ProtocolError, _finite_number, constraint_fields
 
 __all__ = ["WorkerDied", "WorkerPool", "open_graph_source"]
 
@@ -90,11 +90,19 @@ def _window_view(graph, params: Mapping):
     # out-of-core partitioned one (graph.times would materialize it).
     start = graph.storage.start_time
     end = graph.storage.end_time
-    lo = float(t_lo) if t_lo is not None else (start if start is not None else 0.0)
-    hi = float(t_hi) if t_hi is not None else (end if end is not None else 0.0)
+    lo = _bound(t_lo, "t_lo") if t_lo is not None else (start if start is not None else 0.0)
+    hi = _bound(t_hi, "t_hi") if t_hi is not None else (end if end is not None else 0.0)
     if hi < lo:
         raise ProtocolError("bad_request", "t_hi must be >= t_lo")
     return graph.slice(lo, hi)
+
+
+def _bound(value: Any, key: str) -> float:
+    """A window bound as a float; anything but a finite JSON number is refused."""
+    number = _finite_number(value)
+    if number is None:
+        raise ProtocolError("bad_request", f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _motif_kwargs(params: Mapping) -> dict:
@@ -195,14 +203,13 @@ def _estimate(view, kw: Mapping, job: Mapping) -> dict:
         )
     from repro.algorithms.sampling import estimate_counts_root_sampling
 
-    q = job.get("q", 0.25)
-    try:
-        q = float(q)
-    except (TypeError, ValueError):
-        raise ProtocolError("bad_request", "q must be a number in (0, 1]") from None
-    if not 0 < q <= 1:
-        raise ProtocolError("bad_request", "q must be in (0, 1]")
-    rng = np.random.default_rng(job.get("seed"))
+    q = _finite_number(job.get("q", 0.25))
+    if q is None or not 0 < q <= 1:
+        raise ProtocolError("bad_request", "q must be a number in (0, 1]")
+    seed = job.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ProtocolError("bad_request", "seed must be null or a non-negative integer")
+    rng = np.random.default_rng(seed)
     estimates = estimate_counts_root_sampling(
         view,
         kw["n_events"],

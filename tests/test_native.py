@@ -3,10 +3,9 @@
 Four layers of guarantees on top of the engine differential suite in
 ``test_engine.py``:
 
-* **batched encoder units** — the array relabel/classify of
+* **batched encoder units** — the array relabel of
   :mod:`repro.algorithms.batched` against the serial
-  :func:`~repro.core.notation.canonical_code` /
-  :func:`~repro.core.eventpairs.classify_pair` oracles;
+  :func:`~repro.core.notation.canonical_code` oracle;
 * **consumer bit-identity under the block lane** — ``run_census``
   (sample lists, caps, filters included) and ``total_instances`` with
   the native kernel forced, against the generic path;
@@ -36,7 +35,6 @@ import repro.obs as obs
 from repro.algorithms import batched
 from repro.algorithms.counting import run_census, total_instances
 from repro.core.constraints import TimingConstraints
-from repro.core.eventpairs import classify_pair
 from repro.core.events import Event
 from repro.core.notation import canonical_code
 from repro.core.temporal_graph import TemporalGraph
@@ -136,24 +134,6 @@ class TestBatchedEncoders:
         keys = batched.encode_block_codes(us, vs)
         for row, key in zip(rows, keys.tolist()):
             assert str(key).zfill(2 * k) == canonical_code(row)
-
-    @settings(max_examples=120, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)
-            ).filter(lambda q: q[0] != q[1] and q[2] != q[3]),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    def test_classify_block_pairs_matches_classify_pair(self, quads):
-        u1, v1, u2, v2 = (
-            np.array([q[i] for q in quads], dtype=np.int64) for i in range(4)
-        )
-        ids = batched.classify_block_pairs(u1, v1, u2, v2)
-        for q, pid in zip(quads, ids.tolist()):
-            assert batched.PAIR_BY_ID[pid] is classify_pair(q[:2], q[2:])
 
     def test_encoder_raises_on_self_loops_like_the_serial_path(self):
         us = np.array([[0, 1]], dtype=np.int64)

@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis) on the core invariants.
 
-These target the invariants DESIGN.md §6 lists as test oracles: notation
-canonicality, the pair-sequence bijection, timing-constraint monotonicity,
-restriction-as-filter subset relations, and shuffle conservation laws.
+These pin the invariants the counting code and the other suites take as
+given: notation canonicality, the pair-sequence bijection (and that an
+instance's pair types are a function of its motif code, which the census
+folds rely on), timing-constraint monotonicity, restriction-as-filter
+subset relations, and shuffle conservation laws.
 """
 
 import itertools
@@ -72,6 +74,23 @@ def test_pair_sequence_roundtrip(sequence):
     assert pair_sequence_of_code(code) == tuple(sequence)
     assert is_valid_code(code)
     assert len({d for d in code}) <= 3
+
+
+@st.composite
+def loop_free_edge_lists(draw):
+    """1–6 self-loop-free events over at most ten arbitrary node ids."""
+    pool = draw(st.lists(st.integers(-(10**12), 10**12), min_size=2, max_size=10, unique=True))
+    pick = st.sampled_from(pool)
+    edge = st.tuples(pick, pick).filter(lambda e: e[0] != e[1])
+    return draw(st.lists(edge, min_size=1, max_size=6))
+
+
+@given(loop_free_edge_lists())
+def test_pair_sequence_is_a_function_of_the_code(edges):
+    """An instance's pair types are its code's: the census folds read
+    them once per distinct code instead of classifying every instance."""
+    expected = tuple(map(classify_pair, edges, edges[1:]))
+    assert pair_sequence_of_code(canonical_code(edges)) == expected
 
 
 @given(st.sampled_from(all_motif_codes(3, 3) + all_motif_codes(4, 4)))

@@ -35,6 +35,17 @@ class TestRootSampling:
         )
         assert estimate == {}
 
+    def test_leaves_array_events_unbuilt(self, small_sms):
+        """Root sampling draws over the event count, never the events view
+        (which would box one Event per event of an array backend)."""
+        graph = TemporalGraph([(e.u, e.v, e.t) for e in small_sms.events], backend="numpy")
+        constraints = TimingConstraints(delta_c=300, delta_w=600)
+        estimate = estimate_counts_root_sampling(
+            graph, 3, constraints, q=0.5, max_nodes=3, rng=np.random.default_rng(1)
+        )
+        assert estimate
+        assert graph.storage._events_cache is None
+
     def test_estimates_scaled_by_inverse_q(self, small_sms):
         constraints = TimingConstraints(delta_c=300, delta_w=600)
         estimate = estimate_counts_root_sampling(

@@ -228,6 +228,34 @@ class TestComputeParity:
             client.census(delta_w=3000.0, n_events=40)
         assert err.value.code == "bad_request"
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "abc", "10", True, [1]])
+    def test_non_finite_or_string_window_bounds_are_bad_requests(self, client, bad):
+        """A ``t_lo``/``t_hi`` that is not a finite JSON number is refused,
+        instead of answering the full-graph census or an internal error."""
+        for op in ("window", "census", "count"):
+            for lo, hi in ((bad, 100.0), (0.0, bad)):
+                reply = client.request(op, n_events=2, delta_w=10.0, t_lo=lo, t_hi=hi)
+                assert reply["ok"] is False
+                assert reply["error"]["code"] == "bad_request"
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"q": True},
+            {"q": "0.5"},
+            {"q": float("nan")},
+            {"seed": -1},
+            {"seed": "x"},
+            {"seed": 1.5},
+            {"seed": True},
+        ],
+    )
+    def test_malformed_estimate_params_are_bad_requests(self, client, params):
+        pytest.importorskip("numpy")
+        reply = client.request("estimate", n_events=2, delta_w=10.0, **params)
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "bad_request"
+
 
 # ----------------------------------------------------------------------
 # push streams
